@@ -370,18 +370,34 @@ def _short_time_matrix(model: OscillatorModel, m: int, r: np.ndarray,
     hbar = model.consts.hbar
     s = model.geom.sigma
     v = np.array([potential(model, ri) for ri in r])
-    r1 = r[:, None]
-    r2 = r[None, :]
-    gauss = -(M / (2.0 * hbar * eps)) * (r1 - r2) ** 2
-    return (M / (hbar * eps)) * s \
-        * np.exp(gauss - v[:, None] * eps / hbar) \
-        * ive(abs(m), M * s * s * r1 * r2 / (hbar * eps))
+    # The Bessel argument c r_i r_j is exactly symmetric in (i, j), so the
+    # (costly) ive is evaluated on the upper triangle, row by row to keep
+    # temporaries small, and mirrored.
+    c = M * s * s / (hbar * eps)
+    bessel = np.empty((len(r), len(r)))
+    for i in range(len(r)):
+        bessel[i, i:] = ive(abs(m), c * (r[i] * r[i:]))
+        bessel[i:, i] = bessel[i, i:]
+    kern = -(M / (2.0 * hbar * eps)) * (r[:, None] - r[None, :]) ** 2
+    kern -= v[:, None] * eps / hbar
+    np.exp(kern, out=kern)
+    kern *= (M / (hbar * eps)) * s
+    kern *= bessel
+    return kern
 
 
 def transfer_matrix_kernel(model: OscillatorModel, m: int, grid: RadialGrid,
                            beta: float, n_slices: int) -> TransferMatrixResult:
     """Time-sliced m-channel kernel: n_slices short-time kernels composed by
     n_slices - 1 trapezoid quadratures with measure r dr.
+
+    The composition K_N = T (W T)^(N-1), with T the short-time kernel and
+    W = diag(trapezoid weight * r), is formed by time doubling through the
+    semigroup identity K_{a+b} = K_a W K_b: the chain K_1 = T,
+    K_2 = K_1 W K_1, K_4 = K_2 W K_2, ... is combined over the set bits of
+    n_slices, which takes at most 2 log2(n_slices) matrix products instead
+    of n_slices - 1.  The quadratures are the same ones as in the
+    slice-by-slice product, only associated differently.
 
     The short-time kernel uses the integer angular order m throughout; the
     composed result converges (first order in beta/n_slices) to the
@@ -398,15 +414,17 @@ def transfer_matrix_kernel(model: OscillatorModel, m: int, grid: RadialGrid,
     eps = beta / n_slices
     r = grid.values
     width = math.sqrt(model.consts.hbar * eps / model.consts.mass)
-    t = _short_time_matrix(model, m, r, eps)
-    if n_slices > 1:
-        weights = grid.trapezoid_weights() * r
-        step = weights[:, None] * t
-        out = t
-        for _ in range(n_slices - 1):
-            out = out @ step
-    else:
-        out = t
+    w = (grid.trapezoid_weights() * r)[:, None]
+    doubled = _short_time_matrix(model, m, r, eps)    # K_{2^k}
+    out = None
+    bits = n_slices
+    while True:
+        if bits & 1:
+            out = doubled if out is None else out @ (w * doubled)
+        bits >>= 1
+        if not bits:
+            break
+        doubled = doubled @ (w * doubled)
     return TransferMatrixResult(
         values=out, grid=grid, n_slices=n_slices, eps=eps,
         thermal_width=width, resolution_ok=width >= 3.0 * grid.spacing,

@@ -183,9 +183,12 @@ def full_kernel(model: OscillatorModel, query: KernelQuery,
     with a certified bound on the discarded |m| > m_max tail.
 
     The m-sum runs in ascending order through math.fsum, so results are
-    bit-reproducible regardless of any outer parallelism.
+    bit-reproducible regardless of any outer parallelism.  A non-finite
+    dtheta raises ValueError.
     """
     dtheta = float(dtheta)
+    if not math.isfinite(dtheta):
+        raise ValueError(f"dtheta must be a finite real, got {dtheta!r}")
     a = model.consts.mass * model.omega / model.consts.hbar
     wb = model.omega * query.beta
     sh = math.sinh(wb)

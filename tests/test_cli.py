@@ -172,6 +172,15 @@ def test_kernel_dtheta_ordering(capsys):
     assert json.loads(out0)[0]["value"] >= json.loads(outpi)[0]["value"]
 
 
+def test_kernel_non_finite_dtheta_exit_2(capsys):
+    for bad in ("nan", "inf"):
+        code, out, err = run(capsys, "kernel", "--r1", "1", "--r2", "1",
+                             "--beta", "1", "--dtheta", bad)
+        assert code == 2
+        assert out == ""
+        assert "dtheta" in err
+
+
 def test_kernel_m_max_zero_is_isotropic_term(capsys):
     from coneqm import (ConeGeometry, OscillatorModel, PhysicalConstants,
                         radial_kernel_closed)

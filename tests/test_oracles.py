@@ -495,6 +495,55 @@ def test_transfer_cone_first_order_constant():
     assert 4.0 < c64 < 8.0
 
 
+def test_transfer_doubling_matches_sequential_composition():
+    # time doubling associates the same quadratures differently from the
+    # slice-by-slice product T (W T)^(N-1); only rounding may separate them
+    m = model(sigma=0.5, kappa=1.0)
+    grid = RadialGrid(1e-3, 6.0, 200)
+    beta = 0.8
+    w = grid.trapezoid_weights() * grid.values
+    for n in (3, 5, 7, 13, 32):
+        t = transfer_matrix_kernel(m, 1, grid, beta / n, 1).values
+        seq = t
+        for _ in range(n - 1):
+            seq = seq @ (w[:, None] * t)
+        got = transfer_matrix_kernel(m, 1, grid, beta, n).values
+        pos = seq > 0.0
+        assert np.max(np.abs(got[pos] - seq[pos]) / seq[pos]) <= 1e-13, n
+        assert np.array_equal(got[~pos], seq[~pos])
+        assert got.min() >= 0.0
+
+
+def test_transfer_short_time_kernel_symmetry():
+    # the single-slice kernel is symmetric once the one-sided potential
+    # factor exp(-V(r_i) eps) of its row is divided out
+    m = model(sigma=0.5, kappa=1.0)
+    # (r_min keeps exp(+V eps) finite next to the inverse-square core)
+    grid = RadialGrid(0.3, 4.0, 120)
+    eps = 0.5
+    k = transfer_matrix_kernel(m, 1, grid, eps, 1).values
+    from coneqm.spectrum import potential
+    v = np.array([potential(m, ri) for ri in grid.values])
+    sym = k * np.exp(v * eps)[:, None]
+    assert np.all(sym > 0.0)
+    assert np.max(np.abs(sym - sym.T) / sym) <= 1e-14
+
+
+def test_transfer_cone_first_order_constant_large_n():
+    # criterion 4's setup at slice counts that time doubling makes cheap:
+    # N * dev settles near 6, so 2% at N = 32 is out of reach of the
+    # first-order integer-m construction, not of the slice budget
+    m = model(sigma=0.5, kappa=1.0)
+    grid = RadialGrid(1e-3, 8.0, 450)
+    devs = {}
+    for n in (128, 256):
+        tm = transfer_matrix_kernel(m, 1, grid, 1.0, n)
+        devs[n] = _peak_dev(m, tm.values, grid, 1.0)
+    assert devs[256] < devs[128]
+    for n, dev in devs.items():
+        assert 5.7 <= n * dev <= 6.4, (n, dev)
+
+
 def test_transfer_errors():
     m = model()
     grid = RadialGrid(1e-3, 6.0, 100)

@@ -181,6 +181,14 @@ def test_full_kernel_m0_isotropic_term():
     assert got.value == pytest.approx(expect, rel=1e-15)
 
 
+def test_full_kernel_rejects_non_finite_dtheta():
+    m = model()
+    q = KernelQuery(r1=1.0, r2=1.0, beta=1.0, m_max=10)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="dtheta"):
+            full_kernel(m, q, bad)
+
+
 def test_full_kernel_truncation_within_tail_bound():
     m = model(sigma=0.5, kappa=1.0)
     for m_max in (2, 5, 10, 20):
