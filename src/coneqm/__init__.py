@@ -27,9 +27,7 @@ from .propagator import (FullKernel, KernelQuery, SemigroupResult,
                          SpectralKernel, full_kernel, partial_wave_trace,
                          partial_wave_trace_exact, radial_kernel_closed,
                          radial_kernel_spectral, semigroup_defect)
-from .specfun import (bessel_i, bessel_i_one_term_asymptotic,
-                      bessel_i_one_term_asymptotic_scaled, bessel_i_scaled,
-                      hyp1f1_terminating, ln_gamma)
+from .specfun import bessel_i_scaled, hyp1f1_terminating, ln_gamma
 from .spectrum import (OscillatorModel, QuantumNumbers, StateRecord,
                        energy, enumerate_states, normalization_constant,
                        normalization_log, potential, radial_wavefunction,

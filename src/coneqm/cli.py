@@ -164,6 +164,9 @@ def _cmd_wavefunction(args) -> int:
         qn = QuantumNumbers(args.n, args.m)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    for flag, v in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        if not math.isfinite(v):
+            raise _UsageError(f"{flag} must be a finite real, got {v!r}")
     if args.points < 2 or not (0.0 <= args.r_min < args.r_max):
         raise _UsageError("need 0 <= r-min < r-max and points >= 2")
     h = (args.r_max - args.r_min) / (args.points - 1)
@@ -181,12 +184,12 @@ def _cmd_kernel(args) -> int:
     model = _resolve_model(args)
     try:
         query = KernelQuery(r1=args.r1, r2=args.r2, beta=args.beta,
-                            m_max=args.m_max, n_max=args.n_max)
+                            m_max=args.m_max)
     except ValueError as exc:
         raise _UsageError(str(exc))
     result = full_kernel(model, query, args.dtheta)
-    header = ["value", "tail_bound", "m_max", "n_max"]
-    rows = [(result.value, result.tail_bound, result.m_max, result.n_max)]
+    header = ["value", "tail_bound", "m_max"]
+    rows = [(result.value, result.tail_bound, result.m_max)]
     _emit_rows(header, rows, args)
     if args.tail_tol is not None and result.tail_bound > args.tail_tol:
         sys.stderr.write(
@@ -378,7 +381,6 @@ def _build_parser():
     p.add_argument("--dtheta", type=float, default=0.0)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--m-max", dest="m_max", type=int, default=40)
-    p.add_argument("--n-max", dest="n_max", type=int, default=40)
     p.add_argument("--tail-tol", dest="tail_tol", type=float,
                    help="fail (exit 3) if the tail bound exceeds this")
     p.set_defaults(func=_cmd_kernel)

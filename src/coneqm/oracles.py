@@ -68,21 +68,14 @@ class TridiagonalMatrix:
     def dimension(self) -> int:
         return len(self.diagonal)
 
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diagonal)
-        idx = np.arange(self.dimension - 1)
-        a[idx, idx + 1] = self.offdiagonal
-        a[idx + 1, idx] = self.offdiagonal
-        return a
 
-
-def _regular_exponent(model: OscillatorModel, m: int,
-                      mode: CurvatureTermMode) -> float:
-    # Regular root p = 1/2 + sqrt(1/4 + C) of the indicial equation
-    # p (p - 1) = C, where C/r^2 (in units of hbar^2/2M) is the whole
+def _quarter_plus_c(model: OscillatorModel, m: int,
+                    mode: CurvatureTermMode) -> float:
+    # 1/4 + C, where C/r^2 (in units of hbar^2/2M) is the whole
     # inverse-square part of the mode's operator:
     #   centrifugal m^2/sigma^2 - 1/4, core kappa/(4 sigma^2), and in
     #   Jensen-Koppe mode the curvature term -(1 - sigma^2)/(4 sigma^2).
+    # Built from the operator's coefficients only, never from nu(m, sigma).
     # The -1/4 of the centrifugal term cancels the indicial 1/4 exactly, so
     # 1/4 + C is summed without it: on the kappa = 1 - sigma^2 boundary the
     # Jensen-Koppe s-wave then gives exactly 0 (the p = 1/2 double root).
@@ -90,6 +83,12 @@ def _regular_exponent(model: OscillatorModel, m: int,
     disc = m * m / s2 + model.kappa / (4.0 * s2)
     if mode is CurvatureTermMode.JENSEN_KOPPE:
         disc -= (1.0 - s2) / (4.0 * s2)
+    return disc
+
+
+def _regular_exponent(disc: float, m: int, mode: CurvatureTermMode) -> float:
+    # Regular root p = 1/2 + sqrt(1/4 + C) of the indicial equation
+    # p (p - 1) = C, given disc = 1/4 + C.
     if disc < 0.0:
         raise ImaginaryIndexError(
             f"m={m}, mode={mode.value}: inverse-square coefficient "
@@ -142,19 +141,13 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
     h = grid.spacing
     r = grid.values[1:-1]
     M = model.consts.mass
-    hbar = model.consts.hbar
-    s = model.geom.sigma
-    kin = hbar * hbar / (2.0 * M)
+    kin = model.consts.hbar ** 2 / (2.0 * M)
+    disc = _quarter_plus_c(model, m, mode)
     diag = (2.0 * kin / (h * h)
-            + kin * (m * m / (s * s) - 0.25) / (r * r)
-            + 0.5 * M * model.omega ** 2 * r * r
-            + model.kappa * hbar * hbar / (8.0 * s * s * M * r * r))
-    if mode is CurvatureTermMode.JENSEN_KOPPE:
-        diag = diag + np.array(
-            [effective_potential(model.geom, model.consts, ri) for ri in r]
-        )
+            + kin * (disc - 0.25) / (r * r)
+            + 0.5 * M * model.omega ** 2 * r * r)
     if boundary is InnerBoundary.FROBENIUS:
-        p = _regular_exponent(model, m, mode)
+        p = _regular_exponent(disc, m, mode)
         diag[0] -= (kin / (h * h)) * (grid.r_min / r[0]) ** p
     off = np.full(len(r) - 1, -kin / (h * h))
     return TridiagonalMatrix(diagonal=diag, offdiagonal=off, interior_r=r)
@@ -310,12 +303,15 @@ def short_time_bfI(geom: ConeGeometry, consts: PhysicalConstants, m: int,
         raise ValueError(f"m must be an integer, got {m!r}")
     s = geom.sigma
     w = consts.mass * r_hat * r_hat / (consts.hbar * eps)
-    if w > 709.0:
+    try:
+        growth = math.exp(w)
+    except OverflowError:
         raise OverflowError(
             f"short-time factor ~ e^{w:.3g} overflows a double; "
             "use recombination_ratio or smaller M r_hat^2/(hbar eps)"
-        )
-    return s * math.exp(w) * float(ive(abs(m), s * s * w))
+        ) from None
+    # the growth factor last, so sigma > 1 cannot overflow a finite value
+    return s * float(ive(abs(m), s * s * w)) * growth
 
 
 def recombination_ratio(geom: ConeGeometry, consts: PhysicalConstants, m: int,

@@ -50,7 +50,6 @@ class KernelQuery:
     r2: float
     beta: float
     m_max: int = 40
-    n_max: int = 40
 
     def __post_init__(self):
         for name in ("r1", "r2", "beta"):
@@ -58,10 +57,9 @@ class KernelQuery:
             if not isinstance(v, (int, float)) or isinstance(v, bool) \
                     or not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be a finite real > 0, got {v!r}")
-        for name in ("m_max", "n_max"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
+        v = self.m_max
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise ValueError(f"m_max must be an integer >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class FullKernel:
     value: float
     tail_bound: float
     m_max: int
-    n_max: int
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,18 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _kernel_factors(model: OscillatorModel, r1: float, r2: float,
+                    beta: float):
+    # m-independent factors of R_m = pref * e^{z - Q} * (e^{-z} I_nu(z)):
+    # returns (pref, z - Q, z) with pref = M w/(hbar sinh(w beta)).
+    a = model.consts.mass * model.omega / model.consts.hbar
+    wb = model.omega * beta
+    sh = math.sinh(wb)
+    z = a * r1 * r2 / sh
+    # z - Q <= 0 always: (r1^2+r2^2) cosh >= 2 r1 r2, so no overflow
+    return a / sh, z - 0.5 * a * (r1 * r1 + r2 * r2) * math.cosh(wb) / sh, z
+
+
 def radial_kernel_closed(model: OscillatorModel, m: int,
                          r1: float, r2: float, beta: float) -> float:
     """Closed-form Euclidean m-channel kernel; symmetric in r1 <-> r2."""
@@ -103,14 +112,8 @@ def radial_kernel_closed(model: OscillatorModel, m: int,
     beta = _check_beta(beta)
     if not math.isfinite(r1) or r1 <= 0.0 or not math.isfinite(r2) or r2 <= 0.0:
         raise ValueError("r1 and r2 must be finite reals > 0")
-    a = model.consts.mass * model.omega / model.consts.hbar
-    wb = model.omega * beta
-    sh = math.sinh(wb)
-    z = a * r1 * r2 / sh
-    nu = model.nu(m)
-    # z - Q <= 0 always: (r1^2+r2^2) cosh >= 2 r1 r2, so no overflow
-    expo = z - 0.5 * a * (r1 * r1 + r2 * r2) * math.cosh(wb) / sh
-    return (a / sh) * math.exp(expo) * bessel_i_scaled(nu, z)
+    pref, expo, z = _kernel_factors(model, r1, r2, beta)
+    return pref * math.exp(expo) * bessel_i_scaled(model.nu(m), z)
 
 
 def radial_kernel_spectral(model: OscillatorModel, m: int,
@@ -189,21 +192,16 @@ def full_kernel(model: OscillatorModel, query: KernelQuery,
     dtheta = float(dtheta)
     if not math.isfinite(dtheta):
         raise ValueError(f"dtheta must be a finite real, got {dtheta!r}")
-    a = model.consts.mass * model.omega / model.consts.hbar
-    wb = model.omega * query.beta
-    sh = math.sinh(wb)
-    z = a * query.r1 * query.r2 / sh
-    expo = z - 0.5 * a * (query.r1 ** 2 + query.r2 ** 2) * math.cosh(wb) / sh
-    pref = a / sh
-    terms = [pref * math.exp(expo) * bessel_i_scaled(model.nu(0), z)]
+    pref, expo, z = _kernel_factors(model, query.r1, query.r2, query.beta)
+    scale = pref * math.exp(expo)
+    terms = [scale * bessel_i_scaled(model.nu(0), z)]
     for m in range(1, query.m_max + 1):
-        rm = pref * math.exp(expo) * bessel_i_scaled(model.nu(m), z)
+        rm = scale * bessel_i_scaled(model.nu(m), z)
         terms.append(2.0 * math.cos(m * dtheta) * rm)
     value = math.fsum(terms) / (2.0 * math.pi)
     log_pref = math.log(pref) + expo
     tail = _partial_wave_tail_bound(model, query.m_max + 1, z, log_pref) / math.pi
-    return FullKernel(value=value, tail_bound=tail,
-                      m_max=query.m_max, n_max=query.n_max)
+    return FullKernel(value=value, tail_bound=tail, m_max=query.m_max)
 
 
 def semigroup_defect(model: OscillatorModel, m: int, r1: float, r2: float,

@@ -1,9 +1,9 @@
 """Self-contained special-function layer.
 
-Provides log-gamma, the modified Bessel function I_nu of real non-negative
-order, the terminating confluent hypergeometric function 1F1(-n; b; x)
-evaluated through the generalized-Laguerre recurrence, and the one-term
-large-argument Bessel approximant.
+Provides log-gamma, the exponentially scaled modified Bessel function
+e^{-x} I_nu(x) of real non-negative order, and the terminating confluent
+hypergeometric function 1F1(-n; b; x) evaluated through the
+generalized-Laguerre recurrence for every n.
 
 The stable primitive for I_nu is the exponentially scaled value
 e^{-x} I_nu(x): every kernel formula downstream multiplies I_nu by a decaying
@@ -27,7 +27,6 @@ import math
 _EPS = 1.0e-16
 _FPMIN = 1.0e-290
 _MAXIT = 200000
-_MAX_EXP_ARG = 709.0  # math.exp overflows just above 709.78
 
 
 def ln_gamma(x: float) -> float:
@@ -170,50 +169,6 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     return _cf_scaled(nu, x)
 
 
-def bessel_i(nu: float, x: float) -> float:
-    """Unscaled I_nu(x); raises OverflowError when e^{x} I_nu(x) overflows."""
-    scaled = bessel_i_scaled(nu, x)
-    if x > _MAX_EXP_ARG:
-        raise OverflowError(
-            f"I_nu({x:g}) overflows a double; use bessel_i_scaled instead"
-        )
-    val = scaled * math.exp(x)
-    if math.isinf(val):
-        raise OverflowError(
-            f"I_{nu:g}({x:g}) overflows a double; use bessel_i_scaled instead"
-        )
-    return val
-
-
-def bessel_i_one_term_asymptotic(nu: float, z: float) -> float:
-    """One-term large-argument approximant of I_nu.
-
-    Returns (2 pi z)^{-1/2} exp{z - (nu^2 - 1/4)/(2z)}, the single-term
-    exponential form whose relative error decays like 1/z^2.  The correction
-    term vanishes identically at nu = 1/2.
-    """
-    z = float(z)
-    nu = float(nu)
-    if not math.isfinite(z) or z <= 0.0:
-        raise ValueError(f"argument must be a finite real > 0, got {z!r}")
-    arg = z - (nu * nu - 0.25) / (2.0 * z)
-    if arg > _MAX_EXP_ARG:
-        raise OverflowError(
-            "one-term approximant overflows; use the scaled variant"
-        )
-    return math.exp(arg) / math.sqrt(2.0 * math.pi * z)
-
-
-def bessel_i_one_term_asymptotic_scaled(nu: float, z: float) -> float:
-    """e^{-z} times the one-term approximant, for comparison with
-    ``bessel_i_scaled`` without overflow."""
-    z = float(z)
-    nu = float(nu)
-    if not math.isfinite(z) or z <= 0.0:
-        raise ValueError(f"argument must be a finite real > 0, got {z!r}")
-    return math.exp(-(nu * nu - 0.25) / (2.0 * z)) / math.sqrt(2.0 * math.pi * z)
-
-
 def laguerre_sequence(n_max: int, alpha: float, x: float) -> list:
     """Values [L_0^alpha(x), ..., L_{n_max}^alpha(x)] by the stable
     three-term recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}.
@@ -232,8 +187,7 @@ def laguerre_sequence(n_max: int, alpha: float, x: float) -> list:
 def hyp1f1_terminating(n: int, b: float, x: float) -> float:
     """Terminating confluent hypergeometric 1F1(-n; b; x) for integer n >= 0.
 
-    Evaluated by direct term summation for n <= 2 and through the
-    generalized-Laguerre recurrence for larger n, using
+    Evaluated through the generalized-Laguerre recurrence for every n, using
     1F1(-n; alpha+1; x) = L_n^alpha(x) / C(n+alpha, n) with alpha = b - 1.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -244,12 +198,5 @@ def hyp1f1_terminating(n: int, b: float, x: float) -> float:
         raise ValueError(f"b must be a finite real > 0, got {b!r}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    if n <= 2:
-        total = 1.0
-        term = 1.0
-        for k in range(n):
-            term *= (-(n - k)) / ((b + k) * (k + 1)) * x
-            total += term
-        return total
     ln = laguerre_sequence(n, b - 1.0, x)[n]
     return ln * math.exp(math.lgamma(n + 1.0) + math.lgamma(b) - math.lgamma(n + b))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .geometry import ConeGeometry, PhysicalConstants, coupled_index_nu
 from .specfun import hyp1f1_terminating, ln_gamma
 
-_MAX_EXP_ARG = 709.0
+# largest state list enumerate_states builds
+_MAX_STATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,13 @@ def normalization_constant(model: OscillatorModel, qn: QuantumNumbers) -> float:
     log value still available via ``normalization_log``.
     """
     ln = normalization_log(model, qn)
-    if ln > _MAX_EXP_ARG:
+    try:
+        return math.exp(ln)
+    except OverflowError:
         raise OverflowError(
             f"N_nm overflows a double (ln N = {ln:.6g}); "
             "use normalization_log instead"
-        )
-    return math.exp(ln)
+        ) from None
 
 
 def radial_wavefunction(model: OscillatorModel, qn: QuantumNumbers,
@@ -136,15 +138,31 @@ def enumerate_states(model: OscillatorModel, e_max: float,
     """All states with |m| <= m_max and E_nm <= e_max.
 
     Sorted by ascending energy; ties broken by |m|, then negative m before
-    positive, then n.
+    positive, then n.  The |m| loop ends at the first |m| whose n = 0 level
+    lies above e_max, since nu(m, sigma) grows with |m|.  Each m's
+    floor((e_max/(hbar omega) - 1 - nu)/2) + 1 levels are counted in closed
+    form before they are built, and ValueError is raised once the count
+    passes 1,000,000.
     """
     e_max = float(e_max)
     if not math.isfinite(e_max) or e_max <= 0.0:
         raise ValueError(f"e_max must be a finite real > 0, got {e_max!r}")
     if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 0:
         raise ValueError(f"m_max must be a non-negative integer, got {m_max!r}")
+    hbar_omega = model.consts.hbar * model.omega
+    count = 0
     records = []
     for m_abs in range(m_max + 1):
+        if energy(model, QuantumNumbers(0, m_abs)) > e_max:
+            break
+        nu = model.nu(m_abs)
+        levels = math.floor((e_max / hbar_omega - 1.0 - nu) / 2.0) + 1
+        count += levels if m_abs == 0 else 2 * levels
+        if count > _MAX_STATES:
+            raise ValueError(
+                f"e_max={e_max!r} with m_max={m_max} lists at least {count} "
+                f"states (counted up to |m| = {m_abs}), more than "
+                f"{_MAX_STATES}; lower e_max or m_max")
         for m in ([0] if m_abs == 0 else [-m_abs, m_abs]):
             n = 0
             while True:
@@ -152,9 +170,8 @@ def enumerate_states(model: OscillatorModel, e_max: float,
                 e = energy(model, qn)
                 if e > e_max:
                     break
-                records.append(StateRecord(
-                    qn=qn, energy=e, nu=model.nu(m),
-                    marginal=(model.nu(m) == 0.0)))
+                records.append(StateRecord(qn=qn, energy=e, nu=nu,
+                                           marginal=(nu == 0.0)))
                 n += 1
     records.sort(key=lambda s: (s.energy, abs(s.qn.m),
                                 0 if s.qn.m < 0 else 1, s.qn.n))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -102,6 +103,26 @@ def test_spectrum_json_format(capsys):
     assert data[0]["energy"] == pytest.approx(1.5)
 
 
+def test_spectrum_m_loop_stops_at_last_bound_m(capsys):
+    # nu grows with |m|, so no |m| beyond the first empty one is visited
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "spectrum", "--e-max", "3",
+                       "--m-max", "100000000")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert out == run(capsys, "spectrum", "--e-max", "3", "--m-max", "6")[1]
+
+
+def test_spectrum_state_budget_exit_2(capsys):
+    # the ~5e8 levels of m = 0 alone pass the budget: counted, never built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--e-max", "1e9")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert "500000000 states" in err
+
+
 # ------------------------------------------------------------ wavefunction
 
 
@@ -146,6 +167,16 @@ def test_wavefunction_density_integrates_to_inv_two_pi(capsys):
 def test_wavefunction_invalid_state_exit_2(capsys):
     code, _, err = run(capsys, "wavefunction", "--n", "-1", "--m", "0")
     assert code == 2
+
+
+def test_wavefunction_non_finite_bound_names_flag(capsys):
+    for flag in ("--r-min", "--r-max"):
+        for bad in ("inf", "nan"):
+            code, out, err = run(capsys, "wavefunction", "--n", "0",
+                                 "--m", "0", flag, bad, "--points", "3")
+            assert code == 2
+            assert out == ""
+            assert f"{flag} must be a finite real, got {float(bad)!r}" in err
 
 
 # ---------------------------------------------------------------- kernel
@@ -201,7 +232,7 @@ def test_kernel_tail_tolerance_exit_3(capsys):
     assert code == 3
     assert "tail bound" in err
     # the record is still emitted with the bound
-    assert "value,tail_bound,m_max,n_max" in out
+    assert "value,tail_bound,m_max" in out
 
 
 # ---------------------------------------------------------------- config

@@ -70,7 +70,8 @@ def test_matrix_is_symmetric():
     m = model()
     mat = radial_hamiltonian_matrix(m, 1, CurvatureTermMode.PODOLSKY,
                                     RadialGrid(0.1, 5.0, 30))
-    dense = mat.to_dense()
+    dense = (np.diag(mat.diagonal) + np.diag(mat.offdiagonal, 1)
+             + np.diag(mat.offdiagonal, -1))
     assert np.array_equal(dense, dense.T)
 
 
@@ -363,6 +364,14 @@ def test_bfI_cone_value():
 def test_bfI_overflow_is_explicit():
     with pytest.raises(OverflowError):
         short_time_bfI(ConeGeometry(0.5), NAT, 0, 10.0, 0.0001)
+    # just below the exp limit: sigma e^w alone overflows at sigma = 2, the
+    # factor itself does not
+    from scipy.special import ive
+    eps = 1.0 / 709.5
+    w = 1.0 / eps
+    val = short_time_bfI(ConeGeometry(2.0), NAT, 0, 1.0, eps)
+    assert math.log(val) == pytest.approx(
+        w + math.log(2.0 * float(ive(0, 4.0 * w))), rel=1e-14)
 
 
 def test_bfI_domain():

@@ -174,11 +174,17 @@ def test_full_kernel_dtheta_ordering():
 
 
 def test_full_kernel_m0_isotropic_term():
+    # the partial-wave sum is built from the same R_m as radial_kernel_closed
     m = model()
-    q = KernelQuery(r1=1.0, r2=1.2, beta=0.8, m_max=0)
-    got = full_kernel(m, q, 2.1)
-    expect = radial_kernel_closed(m, 0, 1.0, 1.2, 0.8) / (2.0 * math.pi)
-    assert got.value == pytest.approx(expect, rel=1e-15)
+    dtheta = 2.1
+    for m_max in (0, 5, 40):
+        q = KernelQuery(r1=1.0, r2=1.2, beta=0.8, m_max=m_max)
+        terms = [radial_kernel_closed(m, 0, 1.0, 1.2, 0.8)]
+        terms += [2.0 * math.cos(k * dtheta)
+                  * radial_kernel_closed(m, k, 1.0, 1.2, 0.8)
+                  for k in range(1, m_max + 1)]
+        expect = math.fsum(terms) / (2.0 * math.pi)
+        assert full_kernel(m, q, dtheta).value == expect
 
 
 def test_full_kernel_rejects_non_finite_dtheta():
