@@ -22,6 +22,7 @@ certified bound on the discarded tail.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .geometry import coupled_index_nu
@@ -40,6 +41,21 @@ __all__ = [
 # the grid as too short for the composition integral; genuine truncation sits
 # at >~1e-2 while adequate grids sit at <~1e-7 (inner end, slowest power law)
 _BOUNDARY_TOL = 1.0e-6
+
+# Early stop of the partial-wave sum (full_kernel).  The bound on the
+# remaining terms is tried only once R_m < _PRECHECK |running sum|, and the
+# exact rounding test, at most _MAX_TESTS times per query, only once the
+# bound is below 2^-56 |running sum|.
+# _SAFETY covers bessel_i_scaled's relative error (<= 6e-13 measured) and
+# the rounding of each term; _UNDERFLOW_ULPS per remaining term covers the
+# absolute error of terms that fall into the subnormal range.
+_PRECHECK = 2.0 ** -40
+_LOG_ATTEMPT = -56.0 * math.log(2.0)
+_MAX_TESTS = 4
+_SAFETY = 1.001
+_NORMAL_MIN = sys.float_info.min
+_UNDERFLOW_ULPS = 2.0 ** -1060
+_GAP_MARGIN = 1.0 - 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -180,28 +196,104 @@ def _partial_wave_tail_bound(model: OscillatorModel, m_start: int,
     return math.inf
 
 
+def _log_amos_ratio(nu: float, z: float) -> float:
+    """log rho with rho = z / (nu + 1/2 + sqrt((nu + 1/2)^2 + z^2)).
+
+    rho bounds I_{nu+1}(z)/I_nu(z) from above for nu >= 0 (Amos 1974) and
+    decreases in nu.  log rho = -asinh((nu + 1/2)/z) stays accurate where
+    rho is close to 1; it is -inf when (nu + 1/2)/z overflows.
+    """
+    return -math.asinh((nu + 0.5) / z)
+
+
+def _log_ratio_sum_bound(nu: float, d: float, z: float) -> float:
+    """log of rho^(d-1) / (1 - rho^d), which bounds sum_{k>m} R_k / R_m.
+
+    With I_nu decreasing in nu, rho (``_log_amos_ratio``) decreasing in nu
+    and the step d = nu(m+1) - nu(m) growing in m (nu is convex in m),
+    every R_k <= R_m rho^floor((k-m) d) <= R_m rho^((k-m) d - 1).  Returns
+    inf when rho^d rounds to 1 or log rho is -inf.
+    """
+    lr = _log_amos_ratio(nu, z)
+    q = -math.expm1(d * lr)
+    if q > 0.0 and lr > -math.inf:
+        return (d - 1.0) * lr - math.log(q)
+    return math.inf
+
+
+def _rest_keeps_rounding(terms: list, rest: float):
+    """fsum(terms) if adding any x with |x| <= rest leaves it unchanged.
+
+    With s = fsum(terms) and e the rounded remainder sum(terms) - s, the
+    exact total s + e + x rounds to s when it stays strictly inside half the
+    gaps to s's neighbours; the 2^-20 margin covers the rounding of e and of
+    e +- rest.  Returns None when that cannot be shown.
+    """
+    s = math.fsum(terms)
+    terms.append(-s)
+    e = math.fsum(terms)
+    terms.pop()
+    up = math.nextafter(s, math.inf) - s
+    down = s - math.nextafter(s, -math.inf)
+    if 2.0 * (e + rest) < up * _GAP_MARGIN and \
+            2.0 * (e - rest) > -down * _GAP_MARGIN:
+        return s
+    return None
+
+
 def full_kernel(model: OscillatorModel, query: KernelQuery,
                 dtheta: float) -> FullKernel:
     """Truncated partial-wave kernel (1/2pi)[R_0 + 2 sum cos(m dtheta) R_m]
     with a certified bound on the discarded |m| > m_max tail.
 
     The m-sum runs in ascending order through math.fsum, so results are
-    bit-reproducible regardless of any outer parallelism.  A non-finite
-    dtheta raises ValueError.
+    bit-reproducible regardless of any outer parallelism.  Terms stop being
+    computed once a bound on the remaining ones up to m_max proves that they
+    cannot change the correctly rounded sum, so ``value`` is identical to
+    the full m_max sum.  A non-finite dtheta raises ValueError.
     """
     dtheta = float(dtheta)
     if not math.isfinite(dtheta):
         raise ValueError(f"dtheta must be a finite real, got {dtheta!r}")
+    m_max = query.m_max
     pref, expo, z = _kernel_factors(model, query.r1, query.r2, query.beta)
     scale = pref * math.exp(expo)
-    terms = [scale * bessel_i_scaled(model.nu(0), z)]
-    for m in range(1, query.m_max + 1):
-        rm = scale * bessel_i_scaled(model.nu(m), z)
-        terms.append(2.0 * math.cos(m * dtheta) * rm)
-    value = math.fsum(terms) / (2.0 * math.pi)
+    nu = model.nu(0)
+    bm = bessel_i_scaled(nu, z)
+    rm = scale * bm
+    terms = [rm]
+    running = rm
+    value = None
+    tests_left = _MAX_TESTS
+    for m in range(1, m_max + 1):
+        # certify from R_{m-1}; the pre-check keeps the bound off most terms,
+        # and capping the rounding tests keeps the loop linear in m_max even
+        # when the sum sits on a rounding tie
+        nu_next = model.nu(m)
+        if tests_left and rm < _PRECHECK * abs(running) \
+                and bm >= _NORMAL_MIN and rm >= _NORMAL_MIN:
+            log_rest = math.log(2.0 * _SAFETY * rm) \
+                + _log_ratio_sum_bound(nu, nu_next - nu, z)
+            if log_rest < math.log(abs(running)) + _LOG_ATTEMPT:
+                # underflowed terms may each carry a few subnormal ulps
+                rest = math.exp(log_rest) + (m_max - m + 1) * (scale + 1.0) \
+                    * _UNDERFLOW_ULPS
+                value = _rest_keeps_rounding(terms, rest)
+                if value is not None:
+                    break
+                tests_left -= 1
+        nu = nu_next
+        bm = bessel_i_scaled(nu, z)
+        rm = scale * bm
+        t = 2.0 * math.cos(m * dtheta) * rm
+        terms.append(t)
+        running += t
+    if value is None:
+        value = math.fsum(terms)
     log_pref = math.log(pref) + expo
-    tail = _partial_wave_tail_bound(model, query.m_max + 1, z, log_pref) / math.pi
-    return FullKernel(value=value, tail_bound=tail, m_max=query.m_max)
+    tail = _partial_wave_tail_bound(model, m_max + 1, z, log_pref) / math.pi
+    return FullKernel(value=value / (2.0 * math.pi), tail_bound=tail,
+                      m_max=m_max)
 
 
 def semigroup_defect(model: OscillatorModel, m: int, r1: float, r2: float,

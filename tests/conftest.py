@@ -1,0 +1,7 @@
+"""Shared pytest set-up: property tests draw the same examples on every run."""
+
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("derandomized")

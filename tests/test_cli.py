@@ -235,6 +235,38 @@ def test_kernel_tail_tolerance_exit_3(capsys):
     assert "value,tail_bound,m_max" in out
 
 
+def test_kernel_huge_m_max_stops_at_certified_term(capsys):
+    # terms past the certified point are never computed
+    base = ("kernel", "--r1", "1", "--r2", "1", "--beta", "1", "--format",
+            "json")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *base, "--m-max", "100000000")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    _, ref, _ = run(capsys, *base, "--m-max", "40")
+    assert json.loads(out)[0]["value"] == json.loads(ref)[0]["value"]
+
+
+def test_kernel_bessel_non_convergence_exit_3(capsys, monkeypatch):
+    from coneqm import specfun
+    monkeypatch.setattr(specfun, "_MAXIT", 3)
+    code, out, err = run(capsys, "kernel", "--r1", "4", "--r2", "4",
+                         "--beta", "1", "--m-max", "5")
+    assert code == 3
+    assert out == ""
+    assert "failed to converge" in err
+
+
+def test_main_does_not_hide_zero_division(monkeypatch):
+    from coneqm import cli
+
+    def divide_by_zero(args):
+        return 1 / 0
+    monkeypatch.setattr(cli, "_cmd_kernel", divide_by_zero)
+    with pytest.raises(ZeroDivisionError):
+        main(["kernel", "--r1", "1", "--r2", "1", "--beta", "1"])
+
+
 # ---------------------------------------------------------------- config
 
 

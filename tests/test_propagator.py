@@ -9,8 +9,13 @@ and trapezoid/ladder identities.
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coneqm import propagator
 from coneqm.geometry import ConeGeometry, PhysicalConstants
 from coneqm.grids import RadialGrid
 from coneqm.propagator import (KernelQuery, full_kernel, partial_wave_trace,
@@ -173,18 +178,82 @@ def test_full_kernel_dtheta_ordering():
     assert full_kernel(m, q, 0.0).value >= full_kernel(m, q, math.pi).value
 
 
+def full_fsum(mod, q, dtheta):
+    """(1/2pi) fsum of every term up to m_max, each from radial_kernel_closed."""
+    args = (q.r1, q.r2, q.beta)
+    terms = [radial_kernel_closed(mod, 0, *args)]
+    terms += [2.0 * math.cos(k * dtheta) * radial_kernel_closed(mod, k, *args)
+              for k in range(1, q.m_max + 1)]
+    return math.fsum(terms) / (2.0 * math.pi)
+
+
 def test_full_kernel_m0_isotropic_term():
     # the partial-wave sum is built from the same R_m as radial_kernel_closed
     m = model()
-    dtheta = 2.1
     for m_max in (0, 5, 40):
         q = KernelQuery(r1=1.0, r2=1.2, beta=0.8, m_max=m_max)
-        terms = [radial_kernel_closed(m, 0, 1.0, 1.2, 0.8)]
-        terms += [2.0 * math.cos(k * dtheta)
-                  * radial_kernel_closed(m, k, 1.0, 1.2, 0.8)
-                  for k in range(1, m_max + 1)]
-        expect = math.fsum(terms) / (2.0 * math.pi)
-        assert full_kernel(m, q, dtheta).value == expect
+        assert full_kernel(m, q, 2.1).value == full_fsum(m, q, 2.1)
+
+
+@settings(max_examples=300)
+@given(sigma=st.floats(0.25, 2.0), extra=st.floats(0.0, 3.0),
+       r1=st.floats(1e-100, 3.0), r2=st.floats(1e-100, 3.0),
+       beta=st.floats(0.05, 5.0),
+       dtheta=st.floats(-1e300, 1e300),
+       m_max=st.sampled_from([0, 1, 10, 40, 80]))
+def test_full_kernel_equals_the_whole_m_max_sum(sigma, extra, r1, r2, beta,
+                                                dtheta, m_max):
+    # terms skipped past the certified point never change the rounded sum
+    mod = model(sigma=sigma, kappa=1.0 - sigma * sigma + extra)
+    q = KernelQuery(r1=r1, r2=r2, beta=beta, m_max=m_max)
+    assert full_kernel(mod, q, dtheta).value == full_fsum(mod, q, dtheta)
+
+
+def seeded_kernel_cases(n):
+    rng = np.random.default_rng(6)
+    cases = []
+    for _ in range(n):
+        sigma = float(rng.uniform(0.25, 2.0))
+        mod = model(sigma=sigma,
+                    kappa=1.0 - sigma * sigma + float(rng.uniform(0.0, 3.0)))
+        q = KernelQuery(r1=float(rng.uniform(0.1, 3.0)),
+                        r2=float(rng.uniform(0.1, 3.0)),
+                        beta=float(10.0 ** rng.uniform(-1.3, 0.7)),
+                        m_max=int(rng.choice([10, 40, 80])))
+        cases.append((mod, q, float(rng.uniform(0.0, math.pi))))
+    return cases
+
+
+def test_full_kernel_equality_catches_a_stop_without_remainder_bound(
+        monkeypatch):
+    cases = seeded_kernel_cases(100)
+    assert all(full_kernel(mod, q, dth).value == full_fsum(mod, q, dth)
+               for mod, q, dth in cases)
+    # a program that takes the remaining terms for zero stops too early
+    monkeypatch.setattr(propagator, "_log_ratio_sum_bound",
+                        lambda nu, d, z: -math.inf)
+    assert any(full_kernel(mod, q, dth).value != full_fsum(mod, q, dth)
+               for mod, q, dth in cases)
+
+
+def test_amos_ratio_bounds_the_bessel_ratio():
+    # rho(nu) >= I_{nu+1}(z)/I_nu(z) at seeded (nu, z), against mpmath
+    rng = np.random.default_rng(11)
+    nus = rng.uniform(0.0, 200.0, 120).tolist() + [0.0, 0.5, 1.0, 200.0]
+    zs = (10.0 ** rng.uniform(-3.0, 4.0, 124)).tolist()
+    zs[-4:] = [1e-3, 1e4, 1e4, 1e-3]
+    tighter_fails = 0
+    with mpmath.workdps(40):
+        for nu, z in zip(nus, zs):
+            ratio = mpmath.besseli(nu + 1, z) / mpmath.besseli(nu, z)
+            log_ratio = float(mpmath.log(ratio))
+            got = propagator._log_amos_ratio(nu, z)
+            assert got >= log_ratio - 1e-15 * abs(log_ratio), (nu, z)
+            # the (nu + 3/2)^2 variant under the root is not an upper bound
+            a = mpmath.mpf(nu) + 0.5
+            tighter = z / (a + mpmath.sqrt((a + 1) ** 2 + mpmath.mpf(z) ** 2))
+            tighter_fails += tighter < ratio
+    assert tighter_fails > 0
 
 
 def test_full_kernel_rejects_non_finite_dtheta():
