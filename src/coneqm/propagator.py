@@ -18,16 +18,18 @@ ladder sum_n e^{-beta E_nm/hbar}.
 
 The full kernel is the partial-wave sum
 K = (1/2 pi) [R_0 + 2 sum_{m>=1} cos(m dtheta) R_m], reported together with a
-certified bound on the discarded tail.
+certified bound on the discarded tail.  The early stop of the sum and the
+tail bound use one remainder bound, ``_log_ratio_sum_bound``.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
-from .geometry import coupled_index_nu
+# coupled_index_nu and ln_gamma are unused here; bench/tracing.py wraps them
+from .geometry import coupled_index_nu  # noqa: F401
 from .grids import RadialGrid
-from .specfun import bessel_i_scaled, laguerre_sequence, ln_gamma
+from .specfun import bessel_i_scaled, laguerre_sequence, ln_gamma  # noqa: F401
 from .spectrum import OscillatorModel
 
 __all__ = [
@@ -170,54 +172,38 @@ def radial_kernel_spectral(model: OscillatorModel, m: int,
     return SpectralKernel(value=total, last_term=abs(last), n_max=n_max)
 
 
-def _partial_wave_tail_bound(model: OscillatorModel, m_start: int,
-                             z: float, log_pref: float) -> float:
-    """Bound on sum_{m >= m_start} R_m via I_nu(z) <= (z/2)^nu e^z / Gamma(nu+1).
-
-    Terms are summed explicitly until their ratio drops below 1/2; the rest is
-    closed with a geometric bound (the ratio keeps decreasing because
-    nu(m, sigma) is convex in m and 1/Gamma grows super-geometrically).
-    """
-    lzh = math.log(0.5 * z)
-    total = 0.0
-    prev = None
-    m = m_start
-    for _ in range(100000):
-        nu = coupled_index_nu(model.geom, model.kappa, m)
-        t = math.exp(log_pref + nu * lzh - ln_gamma(nu + 1.0))
-        total += t
-        if prev is not None and prev > 0.0 and t < 0.5 * prev:
-            ratio = t / prev
-            return total + t * ratio / (1.0 - ratio)
-        if t == 0.0:
-            return total
-        prev = t
-        m += 1
-    return math.inf
-
-
 def _log_amos_ratio(nu: float, z: float) -> float:
-    """log rho with rho = z / (nu + 1/2 + sqrt((nu + 1/2)^2 + z^2)).
+    """log rho with rho = z / (nu + 1/2 + sqrt((nu + 1/2)^2 + z^2)), z > 0.
 
     rho bounds I_{nu+1}(z)/I_nu(z) from above for nu >= 0 (Amos 1974) and
     decreases in nu.  log rho = -asinh((nu + 1/2)/z) stays accurate where
-    rho is close to 1; it is -inf when (nu + 1/2)/z overflows.
+    rho is close to 1.  Where (nu + 1/2)/z overflows it returns
+    -log(2 (nu + 1/2)/z), still an upper bound as asinh(t) >= log(2t).
     """
-    return -math.asinh((nu + 0.5) / z)
+    t = (nu + 0.5) / z
+    if math.isinf(t):
+        return math.log(z) - math.log(2.0 * nu + 1.0)
+    return -math.asinh(t)
 
 
-def _log_ratio_sum_bound(nu: float, d: float, z: float) -> float:
-    """log of rho^(d-1) / (1 - rho^d), which bounds sum_{k>m} R_k / R_m.
+def _log_ratio_sum_bound(nu: float, lead: float, s: int, z: float) -> float:
+    """log bound on sum_{k >= j+s} R_k/R_j; nu = nu(j), lead = nu(j+s) - nu.
 
-    With I_nu decreasing in nu, rho (``_log_amos_ratio``) decreasing in nu
-    and the step d = nu(m+1) - nu(m) growing in m (nu is convex in m),
-    every R_k <= R_m rho^floor((k-m) d) <= R_m rho^((k-m) d - 1).  Returns
-    inf when rho^d rounds to 1 or log rho is -inf.
+    nu(m) is convex in m, so nu(j+i) - nu >= i lead/s for i >= s.  As
+    log I_mu(z) is concave in mu, an order step D has I_{nu+D}/I_nu <=
+    rho(nu)^D for D >= 1 and <= rho(nu-1)^D for nu >= 1 (rho from
+    ``_log_amos_ratio``); else I_mu decreasing in mu gives rho(nu)^(D-1).
+    The sum is then geometric.  Returns inf when its ratio rounds to 1.
     """
-    lr = _log_amos_ratio(nu, z)
-    q = -math.expm1(d * lr)
-    if q > 0.0 and lr > -math.inf:
-        return (d - 1.0) * lr - math.log(q)
+    if lead >= 1.0:
+        lr, power = _log_amos_ratio(nu, z), lead
+    elif nu >= 1.0:
+        lr, power = _log_amos_ratio(nu - 1.0, z), lead
+    else:
+        lr, power = _log_amos_ratio(nu, z), lead - 1.0
+    q = -math.expm1(lead / s * lr)
+    if q > 0.0:
+        return power * lr - math.log(q)
     return math.inf
 
 
@@ -250,7 +236,8 @@ def full_kernel(model: OscillatorModel, query: KernelQuery,
     bit-reproducible regardless of any outer parallelism.  Terms stop being
     computed once a bound on the remaining ones up to m_max proves that they
     cannot change the correctly rounded sum, so ``value`` is identical to
-    the full m_max sum.  A non-finite dtheta raises ValueError.
+    the full m_max sum.  A non-finite dtheta, or one whose product with a
+    computed m overflows, raises ValueError.
     """
     dtheta = float(dtheta)
     if not math.isfinite(dtheta):
@@ -273,7 +260,7 @@ def full_kernel(model: OscillatorModel, query: KernelQuery,
         if tests_left and rm < _PRECHECK * abs(running) \
                 and bm >= _NORMAL_MIN and rm >= _NORMAL_MIN:
             log_rest = math.log(2.0 * _SAFETY * rm) \
-                + _log_ratio_sum_bound(nu, nu_next - nu, z)
+                + _log_ratio_sum_bound(nu, nu_next - nu, 1, z)
             if log_rest < math.log(abs(running)) + _LOG_ATTEMPT:
                 # underflowed terms may each carry a few subnormal ulps
                 rest = math.exp(log_rest) + (m_max - m + 1) * (scale + 1.0) \
@@ -285,13 +272,23 @@ def full_kernel(model: OscillatorModel, query: KernelQuery,
         nu = nu_next
         bm = bessel_i_scaled(nu, z)
         rm = scale * bm
+        if math.isinf(m * dtheta):
+            raise ValueError(f"m * dtheta overflows at m = {m}; reduce "
+                             f"dtheta = {dtheta!r} modulo 2 pi")
         t = 2.0 * math.cos(m * dtheta) * rm
         terms.append(t)
         running += t
     if value is None:
         value = math.fsum(terms)
-    log_pref = math.log(pref) + expo
-    tail = _partial_wave_tail_bound(model, m_max + 1, z, log_pref) / math.pi
+    # tail m > m_max from the last computed term R_j, whose bm is known only
+    # to a few ulps below the normal range; at z = 0 every R_{m>=1} is 0
+    tail = 0.0
+    if z > 0.0:
+        j = len(terms) - 1
+        log_rj = math.log(pref) + expo \
+            + math.log(_SAFETY * max(bm, _NORMAL_MIN))
+        tail = math.exp(log_rj + _log_ratio_sum_bound(
+            nu, model.nu(m_max + 1) - nu, m_max + 1 - j, z)) / math.pi
     return FullKernel(value=value / (2.0 * math.pi), tail_bound=tail,
                       m_max=m_max)
 

@@ -27,6 +27,9 @@ import math
 _EPS = 1.0e-16
 _FPMIN = 1.0e-290
 _MAXIT = 200000
+# below this x, 0.5 * x rounds in the subnormal range (to 0 at x = 2^-1074)
+_HALVES_EXACTLY = 2.0 ** -1021
+_LN2 = math.log(2.0)
 
 
 def ln_gamma(x: float) -> float:
@@ -39,7 +42,9 @@ def ln_gamma(x: float) -> float:
 
 def _series_scaled(nu: float, x: float) -> float:
     # e^{-x} sum_k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)); terms all positive.
-    lead = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) - x
+    log_half_x = math.log(0.5 * x) if x >= _HALVES_EXACTLY \
+        else math.log(x) - _LN2
+    lead = nu * log_half_x - math.lgamma(nu + 1.0) - x
     term = math.exp(lead)
     if term == 0.0:
         # leading term already below the double range; the true value is too

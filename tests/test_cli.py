@@ -235,6 +235,48 @@ def test_kernel_tail_tolerance_exit_3(capsys):
     assert "value,tail_bound,m_max" in out
 
 
+@pytest.mark.parametrize("argv, tail_at_most", [
+    # large z = r1 r2 / sinh(beta)
+    (("--r1", "1", "--r2", "1", "--beta", "1e-6"), math.inf),
+    (("--r1", "4", "--r2", "4.4", "--beta", "0.01"), math.inf),
+    # value 0.713, of which the true tail past m_max = 40 is 1.3e-3
+    (("--sigma", "1", "--kappa", "0", "--r1", "4", "--r2", "4",
+      "--beta", "0.1"), 0.01 * 0.713),
+    # r1 r2 underflows to z = 0, where every R_m with m >= 1 is 0
+    (("--r1", "1e-170", "--r2", "1e-170", "--beta", "1"), 0.0),
+])
+def test_kernel_tail_bound_finite(capsys, argv, tail_at_most):
+    code, out, err = run(capsys, "kernel", *argv, "--format", "json")
+    assert code == 0
+    assert err == ""
+    rec = json.loads(out)[0]
+    assert math.isfinite(rec["value"])
+    assert math.isfinite(rec["tail_bound"])
+    assert rec["tail_bound"] <= tail_at_most
+
+
+def test_kernel_large_tail_asks_for_m_max(capsys):
+    code, out, err = run(capsys, "kernel", "--r1", "4", "--r2", "4.4",
+                         "--beta", "0.01", "--tail-tol", "1e-6")
+    assert code == 3
+    assert "increase --m-max" in err
+    assert "overflow" not in err
+    assert "value,tail_bound,m_max" in out
+
+
+def test_kernel_overflowing_angle_exit_2(capsys):
+    base = ("kernel", "--r1", "1", "--r2", "1", "--beta", "1")
+    code, out, err = run(capsys, *base, "--dtheta", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "dtheta" in err
+    # m * 1e307 overflows from m = 18 on, past the certified stop
+    code, out, _ = run(capsys, *base, "--dtheta", "1e307",
+                       "--m-max", "100000000")
+    assert code == 0
+    assert math.isfinite(float(out.splitlines()[1].split(",")[0]))
+
+
 def test_kernel_huge_m_max_stops_at_certified_term(capsys):
     # terms past the certified point are never computed
     base = ("kernel", "--r1", "1", "--r2", "1", "--beta", "1", "--format",

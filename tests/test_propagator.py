@@ -12,8 +12,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ive
 
 from coneqm import propagator
 from coneqm.geometry import ConeGeometry, PhysicalConstants
@@ -178,12 +179,15 @@ def test_full_kernel_dtheta_ordering():
     assert full_kernel(m, q, 0.0).value >= full_kernel(m, q, math.pi).value
 
 
-def full_fsum(mod, q, dtheta):
-    """(1/2pi) fsum of every term up to m_max, each from radial_kernel_closed."""
+def full_fsum(mod, q, dtheta, cos_overflow=math.nan):
+    """(1/2pi) fsum of every term up to m_max, each from radial_kernel_closed;
+    ``cos_overflow`` stands in for cos(m dtheta) where m * dtheta overflows."""
     args = (q.r1, q.r2, q.beta)
     terms = [radial_kernel_closed(mod, 0, *args)]
-    terms += [2.0 * math.cos(k * dtheta) * radial_kernel_closed(mod, k, *args)
-              for k in range(1, q.m_max + 1)]
+    for k in range(1, q.m_max + 1):
+        angle = k * dtheta
+        c = cos_overflow if math.isinf(angle) else math.cos(angle)
+        terms.append(2.0 * c * radial_kernel_closed(mod, k, *args))
     return math.fsum(terms) / (2.0 * math.pi)
 
 
@@ -197,16 +201,24 @@ def test_full_kernel_m0_isotropic_term():
 
 @settings(max_examples=300)
 @given(sigma=st.floats(0.25, 2.0), extra=st.floats(0.0, 3.0),
-       r1=st.floats(1e-100, 3.0), r2=st.floats(1e-100, 3.0),
+       r1=st.floats(5e-324, 3.0), r2=st.floats(5e-324, 3.0),
        beta=st.floats(0.05, 5.0),
-       dtheta=st.floats(-1e300, 1e300),
+       dtheta=st.floats(allow_nan=False, allow_infinity=False),
        m_max=st.sampled_from([0, 1, 10, 40, 80]))
 def test_full_kernel_equals_the_whole_m_max_sum(sigma, extra, r1, r2, beta,
                                                 dtheta, m_max):
     # terms skipped past the certified point never change the rounded sum
     mod = model(sigma=sigma, kappa=1.0 - sigma * sigma + extra)
     q = KernelQuery(r1=r1, r2=r2, beta=beta, m_max=m_max)
-    assert full_kernel(mod, q, dtheta).value == full_fsum(mod, q, dtheta)
+    try:
+        value = full_kernel(mod, q, dtheta).value
+    except ValueError as exc:
+        # only a computed term whose m * dtheta overflows is refused
+        assert "dtheta" in str(exc) and math.isinf(m_max * dtheta)
+        return
+    # so the skipped terms' cosines, even undefined ones, cannot matter
+    assert value == full_fsum(mod, q, dtheta, 1.0) \
+        == full_fsum(mod, q, dtheta, -1.0)
 
 
 def seeded_kernel_cases(n):
@@ -231,7 +243,7 @@ def test_full_kernel_equality_catches_a_stop_without_remainder_bound(
                for mod, q, dth in cases)
     # a program that takes the remaining terms for zero stops too early
     monkeypatch.setattr(propagator, "_log_ratio_sum_bound",
-                        lambda nu, d, z: -math.inf)
+                        lambda nu, lead, s, z: -math.inf)
     assert any(full_kernel(mod, q, dth).value != full_fsum(mod, q, dth)
                for mod, q, dth in cases)
 
@@ -242,6 +254,9 @@ def test_amos_ratio_bounds_the_bessel_ratio():
     nus = rng.uniform(0.0, 200.0, 120).tolist() + [0.0, 0.5, 1.0, 200.0]
     zs = (10.0 ** rng.uniform(-3.0, 4.0, 124)).tolist()
     zs[-4:] = [1e-3, 1e4, 1e4, 1e-3]
+    # (nu + 1/2)/z overflows at a subnormal z
+    nus += [0.0, 200.0]
+    zs += [5e-324, 1e-310]
     tighter_fails = 0
     with mpmath.workdps(40):
         for nu, z in zip(nus, zs):
@@ -254,6 +269,90 @@ def test_amos_ratio_bounds_the_bessel_ratio():
             tighter = z / (a + mpmath.sqrt((a + 1) ** 2 + mpmath.mpf(z) ** 2))
             tighter_fails += tighter < ratio
     assert tighter_fails > 0
+
+
+def test_order_step_bounds_hold():
+    # the two real-exponent forms _log_ratio_sum_bound steps with, against
+    # 40-digit mpmath: I_{nu+D}/I_nu <= rho(nu)^D for D >= 1, and
+    # <= rho(nu-1)^D for nu >= 1 and any D > 0
+    rng = np.random.default_rng(12)
+    short_with_rho_nu_fails = 0
+    with mpmath.workdps(40):
+        for _ in range(150):
+            nu = float(rng.uniform(0.0, 200.0))
+            z = float(10.0 ** rng.uniform(-3.0, 4.0))
+            i_nu = mpmath.besseli(nu, z)
+            for step in (float(1.0 + 10.0 ** rng.uniform(-3.0, 2.0)),
+                         float(10.0 ** rng.uniform(-4.0, 2.0))):
+                got = float(mpmath.log(mpmath.besseli(nu + step, z) / i_nu))
+                lr = propagator._log_amos_ratio(nu, z)
+                if step >= 1.0:
+                    bound = step * lr
+                    assert got <= bound + 1e-14 * abs(bound), (nu, z, step)
+                else:
+                    short_with_rho_nu_fails += got > step * lr
+                if nu >= 1.0:
+                    bound = step * propagator._log_amos_ratio(nu - 1.0, z)
+                    assert got <= bound + 1e-14 * abs(bound), (nu, z, step)
+    # a short step needs rho(nu - 1): rho(nu)^D is not an upper bound there
+    assert short_with_rho_nu_fails > 0
+
+
+def ive_sum(order, z, start):
+    """sum_{i >= start} of scipy's ive(order(i), z), block by block until the
+    last term is negligible."""
+    total = 0.0
+    while True:
+        terms = ive(order(np.arange(start, start + 256)), z)
+        total += float(terms.sum())
+        if terms[-1] <= 1e-18 * total:
+            return total
+        start += 256
+
+
+def test_ratio_sum_bound_covers_the_sum():
+    # sum_{i >= s} I_{nu + i lead/s}(z) / I_nu(z): orders spaced evenly, the
+    # slowest growth that a convex nu(m) allows
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        nu = float(10.0 ** rng.uniform(-2.0, 1.7))
+        lead = float(10.0 ** rng.uniform(-1.5, 0.8))
+        s = int(rng.choice([1, 2, 5, 20]))
+        z = float(10.0 ** rng.uniform(-3.0, 3.0))
+        total = ive_sum(lambda i: nu + i * (lead / s), z, s) / ive(nu, z)
+        bound = math.exp(propagator._log_ratio_sum_bound(nu, lead, s, z))
+        assert bound >= total * (1.0 - 1e-12), (nu, lead, s, z)
+
+
+def brute_force_tail(mod, q):
+    """sum_{m > m_max} R_m / pi through scipy's ive."""
+    sigma = mod.geom.sigma
+    sh = math.sinh(q.beta)
+    z = q.r1 * q.r2 / sh
+    log_scale = z - 0.5 * (q.r1 ** 2 + q.r2 ** 2) * math.cosh(q.beta) / sh \
+        - math.log(sh)
+    return math.exp(log_scale) / math.pi * ive_sum(
+        lambda m: np.sqrt(4.0 * m * m + mod.kappa + sigma ** 2 - 1.0)
+        / (2.0 * sigma), z, q.m_max + 1)
+
+
+@settings(max_examples=300)
+@given(sigma=st.floats(0.1, 3.0), extra=st.floats(0.0, 3.0),
+       r1=st.floats(1e-3, 6.0), r2=st.floats(1e-3, 6.0),
+       beta=st.floats(1e-4, 20.0), m_max=st.integers(0, 200))
+# the inputs where the former Gamma-function bound overflowed, was loose by
+# 1e35, or took the logarithm of z = 0
+@example(sigma=0.5, extra=0.75, r1=1.0, r2=1.0, beta=1e-6, m_max=40)
+@example(sigma=0.5, extra=0.75, r1=4.0, r2=4.4, beta=0.01, m_max=40)
+@example(sigma=1.0, extra=0.0, r1=4.0, r2=4.0, beta=0.1, m_max=40)
+@example(sigma=0.5, extra=0.75, r1=1e-170, r2=1e-170, beta=1.0, m_max=40)
+def test_tail_bound_covers_the_discarded_terms(sigma, extra, r1, r2, beta,
+                                               m_max):
+    mod = model(sigma=sigma, kappa=1.0 - sigma * sigma + extra)
+    q = KernelQuery(r1=r1, r2=r2, beta=beta, m_max=m_max)
+    bound = full_kernel(mod, q, 0.3).tail_bound
+    assert math.isfinite(bound)
+    assert bound >= brute_force_tail(mod, q) * (1.0 - 1e-12)
 
 
 def test_full_kernel_rejects_non_finite_dtheta():

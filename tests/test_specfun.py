@@ -77,6 +77,14 @@ def test_bessel_trivial_at_zero():
     assert bessel_i_scaled(0.7, 0.0) == 0.0
 
 
+def test_bessel_at_subnormal_argument():
+    # halving a subnormal x rounds, and at 2^-1074 it underflows to 0
+    for nu in (0.01, 0.1, 0.5):
+        for x in (5e-324, 1.5e-323, 1e-310):
+            assert bessel_i_scaled(nu, x) == pytest.approx(mp_i_scaled(nu, x),
+                                                           rel=1e-13)
+
+
 def test_bessel_i0_of_1():
     # series oracle value, frozen: e^{-1} I_0(1)
     assert bessel_i_scaled(0.0, 1.0) == pytest.approx(0.46575960759364043,
