@@ -182,6 +182,10 @@ def _cmd_wavefunction(args) -> int:
 
 def _cmd_kernel(args) -> int:
     model = _resolve_model(args)
+    tol = args.tail_tol
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise _UsageError(
+            f"--tail-tol must be a finite real >= 0, got {tol!r}")
     try:
         query = KernelQuery(r1=args.r1, r2=args.r2, beta=args.beta,
                             m_max=args.m_max)
@@ -191,10 +195,10 @@ def _cmd_kernel(args) -> int:
     header = ["value", "tail_bound", "m_max"]
     rows = [(result.value, result.tail_bound, result.m_max)]
     _emit_rows(header, rows, args)
-    if args.tail_tol is not None and result.tail_bound > args.tail_tol:
+    if tol is not None and result.tail_bound > tol:
         sys.stderr.write(
             f"kernel: partial-wave tail bound {result.tail_bound!r} exceeds "
-            f"requested tolerance {args.tail_tol!r}; increase --m-max\n")
+            f"requested tolerance {tol!r}; increase --m-max\n")
         return 3
     return 0
 
@@ -254,8 +258,7 @@ def _suite_transfer(model) -> list:
     r = grid.values
     peak = np.flatnonzero((r >= 0.7 * length) & (r <= 1.5 * length))
     # the closed kernel does not depend on the slice count
-    closed = np.array([[radial_kernel_closed(model, 1, r[i], r[j], beta)
-                        for j in peak] for i in peak])
+    closed = radial_kernel_closed(model, 1, r[peak, None], r[None, peak], beta)
     devs = {}
     for n_slices in (8, 16):
         tm = transfer_matrix_kernel(model, 1, grid, beta, n_slices)

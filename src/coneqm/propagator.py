@@ -26,10 +26,14 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 # coupled_index_nu and ln_gamma are unused here; bench/tracing.py wraps them
 from .geometry import coupled_index_nu  # noqa: F401
 from .grids import RadialGrid
-from .specfun import bessel_i_scaled, laguerre_sequence, ln_gamma  # noqa: F401
+from .specfun import (bessel_i_scaled, bessel_i_scaled_array, exp_each,
+                      laguerre_sequence)
+from .specfun import ln_gamma  # noqa: F401
 from .spectrum import OscillatorModel
 
 __all__ = [
@@ -113,7 +117,8 @@ def _check_beta(beta: float) -> float:
 def _kernel_factors(model: OscillatorModel, r1: float, r2: float,
                     beta: float):
     # m-independent factors of R_m = pref * e^{z - Q} * (e^{-z} I_nu(z)):
-    # returns (pref, z - Q, z) with pref = M w/(hbar sinh(w beta)).
+    # returns (pref, z - Q, z) with pref = M w/(hbar sinh(w beta)); r1 and
+    # r2 may be numpy arrays, which get the scalar operations element-wise.
     a = model.consts.mass * model.omega / model.consts.hbar
     wb = model.omega * beta
     sh = math.sinh(wb)
@@ -122,16 +127,30 @@ def _kernel_factors(model: OscillatorModel, r1: float, r2: float,
     return a / sh, z - 0.5 * a * (r1 * r1 + r2 * r2) * math.cosh(wb) / sh, z
 
 
-def radial_kernel_closed(model: OscillatorModel, m: int,
-                         r1: float, r2: float, beta: float) -> float:
-    """Closed-form Euclidean m-channel kernel; symmetric in r1 <-> r2."""
-    r1 = float(r1)
-    r2 = float(r2)
+def radial_kernel_closed(model: OscillatorModel, m: int, r1, r2,
+                         beta: float):
+    """Closed-form Euclidean m-channel kernel; symmetric in r1 <-> r2.
+
+    r1 and r2 may be numpy arrays, broadcast together.  The result is then
+    the array of kernels, each equal bit for bit to the scalar call's value
+    (``specfun.bessel_i_scaled_array``).
+    """
+    if np.ndim(r1) or np.ndim(r2):
+        r1 = np.asarray(r1, dtype=float)
+        r2 = np.asarray(r2, dtype=float)
+        ok = np.all(np.isfinite(r1) & (r1 > 0.0)) \
+            and np.all(np.isfinite(r2) & (r2 > 0.0))
+        exp, bessel = exp_each, bessel_i_scaled_array
+    else:
+        r1 = float(r1)
+        r2 = float(r2)
+        ok = math.isfinite(r1) and r1 > 0.0 and math.isfinite(r2) and r2 > 0.0
+        exp, bessel = math.exp, bessel_i_scaled
     beta = _check_beta(beta)
-    if not math.isfinite(r1) or r1 <= 0.0 or not math.isfinite(r2) or r2 <= 0.0:
+    if not ok:
         raise ValueError("r1 and r2 must be finite reals > 0")
     pref, expo, z = _kernel_factors(model, r1, r2, beta)
-    return pref * math.exp(expo) * bessel_i_scaled(model.nu(m), z)
+    return pref * exp(expo) * bessel(model.nu(m), z)
 
 
 def radial_kernel_spectral(model: OscillatorModel, m: int,
@@ -307,14 +326,12 @@ def semigroup_defect(model: OscillatorModel, m: int, r1: float, r2: float,
     """
     beta1 = _check_beta(beta1)
     beta2 = _check_beta(beta2)
-    s_vals = grid.values
-    f = [radial_kernel_closed(model, m, r2, s, beta2)
-         * radial_kernel_closed(model, m, s, r1, beta1) * s
-         for s in s_vals]
-    w = grid.trapezoid_weights()
-    integral = math.fsum(wi * fi for wi, fi in zip(w, f))
+    s = grid.values
+    f = radial_kernel_closed(model, m, r2, s, beta2) \
+        * radial_kernel_closed(model, m, s, r1, beta1) * s
+    integral = math.fsum(grid.trapezoid_weights() * f)
     target = radial_kernel_closed(model, m, r2, r1, beta1 + beta2)
-    peak = max(f)
+    peak = f.max()
     boundary = max(f[0], f[-1]) / peak if peak > 0.0 else 0.0
     return SemigroupResult(
         defect=abs(integral - target),
@@ -326,13 +343,9 @@ def semigroup_defect(model: OscillatorModel, m: int, r1: float, r2: float,
 def partial_wave_trace(model: OscillatorModel, m: int, beta: float,
                        grid: RadialGrid) -> float:
     """Numerical trace integral of R_m(r, r; beta) r dr over the grid."""
-    beta = _check_beta(beta)
-    r_vals = grid.values
-    w = grid.trapezoid_weights()
-    return math.fsum(
-        wi * radial_kernel_closed(model, m, r, r, beta) * r
-        for wi, r in zip(w, r_vals)
-    )
+    r = grid.values
+    return math.fsum(grid.trapezoid_weights()
+                     * radial_kernel_closed(model, m, r, r, beta) * r)
 
 
 def partial_wave_trace_exact(model: OscillatorModel, m: int,

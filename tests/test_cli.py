@@ -299,6 +299,34 @@ def test_kernel_bessel_non_convergence_exit_3(capsys, monkeypatch):
     assert "failed to converge" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_kernel_bad_tail_tol_exit_2(capsys, tol):
+    # nan used to exit 0 (tail_bound > nan is False) and -1 to exit 3
+    for r in ("1", "1e-170"):
+        code, out, err = run(capsys, "kernel", "--r1", r, "--r2", r,
+                             "--beta", "1", f"--tail-tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "--tail-tol" in err
+
+
+def test_kernel_zero_tail_tol_is_accepted(capsys):
+    code, _, err = run(capsys, "kernel", "--r1", "1e-170", "--r2", "1e-170",
+                       "--beta", "1", "--tail-tol", "0")
+    assert code == 0
+    assert err == ""
+
+
+def test_verify_semigroup_bessel_non_convergence_exit_3(capsys, monkeypatch):
+    # the semigroup suite reaches specfun through the array route
+    from coneqm import specfun
+    monkeypatch.setattr(specfun, "_MAXIT", 3)
+    code, out, err = run(capsys, "verify", "--suite", "semigroup")
+    assert code == 3
+    assert out == ""
+    assert "failed to converge" in err
+
+
 def test_main_does_not_hide_zero_division(monkeypatch):
     from coneqm import cli
 

@@ -422,6 +422,71 @@ def test_semigroup_truncated_grid_fires_diagnostic():
     assert bad.boundary_fraction > 1e-3
 
 
+def semigroup_reference(mdl, mm, r1, r2, beta1, beta2, grid):
+    """(defect, boundary_fraction) from one scalar kernel call per node."""
+    f = [radial_kernel_closed(mdl, mm, r2, s, beta2)
+         * radial_kernel_closed(mdl, mm, s, r1, beta1) * s
+         for s in grid.values]
+    integral = math.fsum(w * v for w, v in zip(grid.trapezoid_weights(), f))
+    target = radial_kernel_closed(mdl, mm, r2, r1, beta1 + beta2)
+    return abs(integral - target), max(f[0], f[-1]) / max(f)
+
+
+def trace_reference(mdl, mm, beta, grid):
+    return math.fsum(w * radial_kernel_closed(mdl, mm, r, r, beta) * r
+                     for w, r in zip(grid.trapezoid_weights(), grid.values))
+
+
+def seeded_quadrature_cases(n=4):
+    rng = np.random.default_rng(8)
+    for _ in range(n):
+        sigma = float(rng.uniform(0.3, 2.0))
+        kappa = 1.0 - sigma * sigma + float(rng.uniform(0.05, 3.0))
+        yield (model(sigma=sigma, kappa=kappa), int(rng.integers(0, 4)),
+               *(float(v) for v in np.exp(rng.uniform(-2.0, 1.0, 2))),
+               *(float(v) for v in rng.uniform(0.2, 2.0, 2)))
+
+
+def test_quadratures_equal_the_per_point_reference():
+    # 600 nodes out to r = 20 reach every Bessel branch at these betas
+    grid = RadialGrid(1e-4, 20.0, 600)
+    for mdl, mm, beta1, beta2, r1, r2 in seeded_quadrature_cases():
+        res = semigroup_defect(mdl, mm, r1, r2, beta1, beta2, grid)
+        assert (res.defect, res.boundary_fraction) == semigroup_reference(
+            mdl, mm, r1, r2, beta1, beta2, grid)
+        for beta in (beta1, beta2):
+            assert partial_wave_trace(mdl, mm, beta, grid) \
+                == trace_reference(mdl, mm, beta, grid)
+
+
+def test_closed_kernel_on_arrays_equals_scalar_calls():
+    # the transfer suite's peak x peak block: r1 down a column, r2 along a row
+    mdl = model(sigma=0.7, kappa=2.0)
+    r = np.linspace(0.05, 9.0, 40)
+    block = radial_kernel_closed(mdl, 1, r[:, None], r[None, :], 0.3)
+    assert block.shape == (40, 40)
+    assert all(block[i, j] == radial_kernel_closed(mdl, 1, r[i], r[j], 0.3)
+               for i in range(40) for j in range(40))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("which", ["r1", "r2"])
+def test_semigroup_rejects_bad_endpoints(bad, which):
+    ends = {"r1": 0.7, "r2": 1.3, which: bad}
+    with pytest.raises(ValueError):
+        semigroup_defect(model(), 1, ends["r1"], ends["r2"], 0.5, 0.5,
+                         RadialGrid(1e-4, 12.0, 64))
+
+
+def test_closed_kernel_on_arrays_rejects_bad_radii():
+    r = np.array([0.5, 1.0, 2.0])
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            radial_kernel_closed(model(), 0, np.append(r, bad), 1.0, 1.0)
+        with pytest.raises(ValueError):
+            radial_kernel_closed(model(), 0, 1.0, np.append(r, bad), 1.0)
+
+
 # ------------------------------------------------------------------- trace
 
 

@@ -3,17 +3,22 @@
 Reference values are computed by independent oracles: explicit power-series
 summation, closed forms (half-integer Bessel, factorials), and mpmath
 high-precision evaluation.  The production code path is never used to
-generate its own expected values.
+generate its own expected values.  The array route is the one exception by
+design: its reference is the scalar route, which it must match bit for bit.
 """
 
 import math
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from coneqm.specfun import (bessel_i_scaled, hyp1f1_terminating,
-                            laguerre_sequence, ln_gamma)
+from coneqm import specfun
+from coneqm.specfun import (bessel_i_scaled, bessel_i_scaled_array,
+                            hyp1f1_terminating, laguerre_sequence, ln_gamma)
 
 mpmath.mp.dps = 30
 
@@ -155,6 +160,76 @@ def test_bessel_domain_errors():
         bessel_i_scaled(1.0, -2.0)
     with pytest.raises(ValueError):
         bessel_i_scaled(math.nan, 1.0)
+
+
+# ---------------------------------------------------- bessel_i_scaled_array
+# The scalar route is the reference: the array route must reproduce it bit
+# for bit, element by element.
+
+
+def assert_same_bits(nu, x):
+    x = np.asarray(x, dtype=float)
+    got = bessel_i_scaled_array(nu, x)
+    want = np.array([bessel_i_scaled(nu, v) for v in x.ravel()],
+                    dtype=float).reshape(x.shape)
+    assert got.shape == x.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                  err_msg=f"nu={nu!r}")
+
+
+_X = st.one_of(st.floats(0.0, 1.0e4),
+               st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(0.0, 200.0), xs=st.lists(_X, min_size=1, max_size=40))
+@example(nu=0.0, xs=[0.0, 5e-324, 12.0, 30.0, 1.0e4])
+@example(nu=150.3, xs=[150.3, 151.0, 160.0, 200.0, 1.0e4])
+def test_bessel_array_matches_scalar_bit_for_bit(nu, xs):
+    assert_same_bits(nu, xs)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 2.0615528128088303, 11.7,
+                                12.0, 29.5, 30.0, 45.5, 150.3, 200.0])
+def test_bessel_array_branch_edges(nu):
+    # zero, subnormals, the 0.5 x rounding edge, and each side of the
+    # branch edges x = 12, x = nu and x = 30
+    edges = [12.0, 30.0] + ([nu] if nu > 0.0 else [])
+    x = [0.0, 5e-324, 1.5e-323, 1e-310, 2.0 ** -1021] + [
+        v for e in edges
+        for v in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+    assert_same_bits(nu, x)
+    assert_same_bits(nu, [x, x[::-1]])
+
+
+def test_bessel_array_hankel_fallback_to_cf():
+    # x >= 30 where the Hankel terms grow before converging: those elements
+    # take the continued fraction, beside elements where Hankel succeeds
+    for nu, xs in ((20.0, [30.0, 31.5, 60.0, 1000.0]),
+                   (50.0, [50.5, 80.0, 300.0, 5000.0]),
+                   (120.0, [121.0, 400.0, 1000.0, 9000.0])):
+        gave_up = [x for x in xs if specfun._asymptotic_scaled(nu, x) is None]
+        assert 0 < len(gave_up) < len(xs)
+        assert_same_bits(nu, xs)
+
+
+@pytest.mark.parametrize("nu, x", [
+    (-0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (1.0, -2.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_bessel_array_domain_errors_match_scalar(nu, x):
+    with pytest.raises(ValueError):
+        bessel_i_scaled(nu, x)
+    with pytest.raises(ValueError):
+        bessel_i_scaled_array(nu, np.array([1.0, x, 40.0]))
+
+
+def test_bessel_array_non_convergence_raises_bare_arithmetic_error(
+        monkeypatch):
+    monkeypatch.setattr(specfun, "_MAXIT", 3)
+    with pytest.raises(ArithmeticError, match="failed to converge") as exc:
+        bessel_i_scaled_array(0.5, np.array([1.0, 20.0, 200.0]))
+    assert type(exc.value) is ArithmeticError
 
 
 # ------------------------------------------------------------------- 1F1
