@@ -26,13 +26,17 @@ from .propagator import (KernelQuery, full_kernel, partial_wave_trace,
                          partial_wave_trace_exact, radial_kernel_closed,
                          semigroup_defect)
 from .spectrum import (OscillatorModel, QuantumNumbers, enumerate_states,
-                       radial_wavefunction, wavefunction)
+                       radial_wavefunction)
 
 _MODEL_KEYS = ("sigma", "omega", "kappa", "mass", "hbar")
 _MODEL_DEFAULTS = {"sigma": 0.5, "omega": 1.0, "kappa": 1.0,
                    "mass": 1.0, "hbar": 1.0}
 _SUITES = ("spectrum", "recombination", "transfer", "semigroup",
            "normalization")
+# wavefunction's budget: rows, and rows times n (each row runs the O(n)
+# Laguerre recurrence); larger requests exit 2 before any work
+_MAX_POINTS = 1_000_000
+_MAX_POINT_STEPS = 20_000_000
 
 
 class _UsageError(Exception):
@@ -169,13 +173,21 @@ def _cmd_wavefunction(args) -> int:
             raise _UsageError(f"{flag} must be a finite real, got {v!r}")
     if args.points < 2 or not (0.0 <= args.r_min < args.r_max):
         raise _UsageError("need 0 <= r-min < r-max and points >= 2")
+    if args.points > _MAX_POINTS:
+        raise _UsageError(f"--points {args.points} is more than "
+                          f"{_MAX_POINTS}; lower --points")
+    if args.points * args.n > _MAX_POINT_STEPS:
+        raise _UsageError(
+            f"--n {args.n} with --points {args.points} takes "
+            f"{args.points * args.n} recurrence steps, more than "
+            f"{_MAX_POINT_STEPS}; lower --n or --points")
     h = (args.r_max - args.r_min) / (args.points - 1)
     header = ["r", "psi_abs", "psi_radial"]
     rows = []
     for i in range(args.points):
         r = args.r_min + i * h
         rad = radial_wavefunction(model, qn, r)
-        rows.append((r, abs(wavefunction(model, qn, r, 0.0)), rad))
+        rows.append((r, abs(rad), rad))
     _emit_rows(header, rows, args)
     return 0
 
@@ -283,9 +295,13 @@ def _suite_semigroup(model) -> list:
     for m in (0, 1):
         res = semigroup_defect(model, m, 0.7 * length, 1.3 * length,
                                b, b, grid)
+        # in units of the kernel scale M omega / hbar, so the verdict does
+        # not depend on the units
+        defect = res.defect * (model.consts.hbar
+                               / (model.consts.mass * model.omega))
         records.append(_record("semigroup", f"composition defect m={m}",
-                               0.0, res.defect, 1.0e-8,
-                               res.defect < 1.0e-8 and res.grid_adequate))
+                               0.0, defect, 1.0e-8,
+                               defect < 1.0e-8 and res.grid_adequate))
     for beta_w in (0.5, 1.0, 2.0):
         beta = beta_w / model.omega
         for m in (0, 1, 2):

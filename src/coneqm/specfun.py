@@ -21,10 +21,11 @@ Evaluation strategy for ``bessel_i_scaled``:
 
 ``bessel_i_scaled_array`` evaluates one order over a numpy array of x, a
 branch at a time, with the same branch rule, constants and stopping tests.
-Each element equals ``bessel_i_scaled(nu, x_i)`` bit for bit, so the scalar
-route stays the reference.  It serves fixed-order grids, such as the
-quadratures in ``propagator``; sums over the order at one x (``full_kernel``)
-stay on the scalar route.
+Each branch runs its scalar loop on the whole array under a mask of the
+elements still iterating, so each element equals ``bessel_i_scaled(nu, x_i)``
+bit for bit and the scalar route stays the reference.  It serves fixed-order
+grids, such as the quadratures in ``propagator``; sums over the order at one
+x (``full_kernel``) stay on the scalar route.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -187,12 +188,13 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     return _cf_scaled(nu, x)
 
 
-# The array route below repeats the scalar helpers' arithmetic operation for
-# operation on numpy arrays.  Each loop keeps the indices of the elements
-# still iterating and drops an element once it meets the scalar stopping
-# test, so every element sees exactly the scalar route's IEEE operations.
-# numpy's exp and log may differ from libm's in the last bit, so those two
-# are applied through math, element by element.
+# The array route below runs each scalar helper's loop body statement for
+# statement on a whole numpy array.  A boolean mask marks the elements still
+# iterating: an element leaves it at the scalar stopping test, and from then on
+# np.where freezes its accumulated results, so every element sees exactly the
+# scalar route's IEEE operations.  Finished elements keep iterating harmlessly
+# until no element is live.  numpy's exp and log may differ from libm's in the
+# last bit, so those two are applied through math, element by element.
 
 
 def exp_each(v: np.ndarray) -> np.ndarray:
@@ -206,49 +208,39 @@ def _series_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
         (math.log(0.5 * v) if v >= _HALVES_EXACTLY else math.log(v) - _LN2
          for v in x.tolist()), float, x.size)
     term = exp_each(nu * log_half_x - math.lgamma(nu + 1.0) - x)
-    # a leading term of 0 returns 0 at once, as in the scalar route
-    out = np.zeros_like(x)
-    live = np.flatnonzero(term)
-    term = term[live]
+    # a leading term of 0 is never live, so its total stays 0
+    live = term != 0.0
     total = term.copy()
-    q = 0.25 * x[live] * x[live]
+    q = 0.25 * x * x
     k = 0
-    while live.size and k < 20000:
+    while live.any() and k < 20000:
         k += 1
         term *= q / (k * (k + nu))
-        total += term
-        done = term <= 1.0e-17 * total
-        if done.any():
-            out[live[done]] = total[done]
-            keep = ~done
-            live, term, total, q = live[keep], term[keep], total[keep], q[keep]
-    out[live] = total
-    return out
+        total = np.where(live, total + term, total)
+        live &= ~(term <= 1.0e-17 * total)
+    return total
 
 
 def _asymptotic_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
     # NaN where the scalar _asymptotic_scaled returns None
     mu4 = 4.0 * nu * nu
-    out = np.full_like(x, math.nan)
-    live = np.arange(x.size)
-    xl = x
     term = np.ones_like(x)
     total = np.ones_like(x)
-    prev = np.ones_like(x)
+    prev = np.abs(term)
+    live = np.ones(x.shape, dtype=bool)
+    converged = np.zeros(x.shape, dtype=bool)
     for k in range(1, 60):
-        term *= -(mu4 - (2 * k - 1) ** 2) / (8.0 * k * xl)
+        term *= -(mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
         mag = np.abs(term)
-        total += term
-        grows = mag >= prev
-        done = ~grows & (mag < 1.0e-17 * np.abs(total))
-        if done.any():
-            out[live[done]] = total[done] / np.sqrt(2.0 * math.pi * xl[done])
-        keep = ~(grows | done)
-        live, xl, term, total, prev = \
-            live[keep], xl[keep], term[keep], total[keep], mag[keep]
-        if not live.size:
+        live &= ~(mag >= prev)
+        total = np.where(live, total + term, total)
+        done = live & (mag < 1.0e-17 * np.abs(total))
+        converged |= done
+        live &= ~done
+        if not live.any():
             break
-    return out
+        prev = mag
+    return np.where(converged, total / np.sqrt(2.0 * math.pi * x), math.nan)
 
 
 def _cf_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
@@ -257,25 +249,22 @@ def _cf_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
 
     # CF1 for f = I'_nu/I_nu (modified Lentz).
     h = np.maximum(nu * xi, _FPMIN)
-    live = np.arange(x.size)
-    hl, step, b, d, c = h.copy(), xi2, xi2 * nu, np.zeros_like(x), h
+    b = xi2 * nu
+    d = np.zeros_like(x)
+    c = h
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(_MAXIT):
-        b += step
+        b += xi2
         d = 1.0 / (b + d)
         c = b + 1.0 / c
         delta = c * d
-        hl *= delta
-        done = np.abs(delta - 1.0) < _EPS
-        if done.any():
-            h[live[done]] = hl[done]
-            keep = ~done
-            live, hl, step, b, d, c = \
-                live[keep], hl[keep], step[keep], b[keep], d[keep], c[keep]
-            if not live.size:
-                break
+        h = np.where(live, h * delta, h)
+        live &= ~(np.abs(delta - 1.0) < _EPS)
+        if not live.any():
+            break
     else:
         raise ArithmeticError(
-            f"CF1 failed to converge for nu={nu}, x={float(x[live[0]])}")
+            f"CF1 failed to converge for nu={nu}, x={float(x[live][0])}")
 
     # Downward recurrence from order nu to its fractional part mu.
     nl = int(nu + 0.5)
@@ -294,16 +283,13 @@ def _cf_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
     # for every element.
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
-    h2 = np.empty_like(x)
-    s = np.empty_like(x)
-    live = np.arange(x.size)
-    delh, h2l = d, d.copy()
+    h2 = delh = d
     q1, q2 = np.zeros_like(x), np.ones_like(x)
     a1 = 0.25 - mu * mu
-    cc = a1
-    q = np.full_like(x, a1)
+    q = cc = a1
     a = -a1
-    sl = 1.0 + q * delh
+    s = 1.0 + q * delh
+    live = np.ones(x.shape, dtype=bool)
     for i in range(2, _MAXIT):
         a -= 2 * (i - 1)
         cc = -a * cc / i
@@ -313,22 +299,15 @@ def _cf_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
         b += 2.0
         d = 1.0 / (b + a * d)
         delh = (b * d - 1.0) * delh
-        h2l += delh
+        h2 = np.where(live, h2 + delh, h2)
         dels = q * delh
-        sl += dels
-        done = np.abs(dels / sl) < _EPS
-        if done.any():
-            h2[live[done]] = h2l[done]
-            s[live[done]] = sl[done]
-            keep = ~done
-            live, b, d, delh, h2l, q1, q2, q, sl = (
-                live[keep], b[keep], d[keep], delh[keep], h2l[keep],
-                q1[keep], q2[keep], q[keep], sl[keep])
-            if not live.size:
-                break
+        s = np.where(live, s + dels, s)
+        live &= ~(np.abs(dels / s) < _EPS)
+        if not live.any():
+            break
     else:
         raise ArithmeticError(
-            f"CF2 failed to converge for nu={nu}, x={float(x[live[0]])}")
+            f"CF2 failed to converge for nu={nu}, x={float(x[live][0])}")
     h2 = a1 * h2
 
     kmu = np.sqrt(math.pi / (2.0 * x)) / s              # e^{x} K_mu

@@ -179,6 +179,29 @@ def test_wavefunction_non_finite_bound_names_flag(capsys):
             assert f"{flag} must be a finite real, got {float(bad)!r}" in err
 
 
+@pytest.mark.parametrize("m", ["-2", "0", "3"])
+def test_wavefunction_psi_abs_is_abs_of_psi_radial(capsys, m):
+    code, out, _ = run(capsys, "wavefunction", "--n", "2", "--m", m,
+                       "--r-min", "0", "--r-max", "6", "--points", "401")
+    assert code == 0
+    for ln in out.strip().splitlines()[1:]:
+        _, psi_abs, psi_rad = (float(v) for v in ln.split(","))
+        assert psi_abs == abs(psi_rad)
+
+
+@pytest.mark.parametrize("flag", ["--points", "--n"])
+def test_wavefunction_budget_exit_2(capsys, flag):
+    # refused before any row is computed
+    argv = {"--points": ["--n", "0", "--points", "1000000000"],
+            "--n": ["--n", "1000000000"]}[flag]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wavefunction", "--m", "0", *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert f"lower {flag}" in err
+
+
 # ---------------------------------------------------------------- kernel
 
 
@@ -325,6 +348,24 @@ def test_verify_semigroup_bessel_non_convergence_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "failed to converge" in err
+
+
+def test_verify_semigroup_verdict_is_independent_of_units(capsys):
+    # the defect is reported in units of the kernel scale M omega / hbar
+    def records(*flags):
+        code, out, _ = run(capsys, "verify", "--suite", "semigroup", *flags)
+        recs = json.loads(out)["records"]
+        assert code == (0 if all(r["pass"] for r in recs) else 1)
+        return recs
+    natural = records()
+    for flags in (("--hbar", "1e-3"), ("--mass", "1e3"), ("--omega", "100"),
+                  ("--hbar", "1e3")):
+        recs = records(*flags)
+        assert [r["pass"] for r in recs] == [r["pass"] for r in natural]
+        for r, n in zip(recs, natural):
+            assert r["case"] == n["case"]
+            if r["case"].startswith("composition defect"):
+                assert r["actual"] == pytest.approx(n["actual"], abs=1e-14)
 
 
 def test_main_does_not_hide_zero_division(monkeypatch):
