@@ -31,4 +31,4 @@ from .specfun import bessel_i_scaled, hyp1f1_terminating, ln_gamma
 from .spectrum import (OscillatorModel, QuantumNumbers, StateRecord,
                        energy, enumerate_states, normalization_constant,
                        normalization_log, potential, radial_wavefunction,
-                       wavefunction)
+                       radial_wavefunctions, wavefunction)

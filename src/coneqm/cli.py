@@ -39,7 +39,7 @@ _MAX_POINTS = 1_000_000
 _MAX_POINT_STEPS = 20_000_000
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -136,15 +136,12 @@ def _cmd_convert(args) -> int:
     if len(given) != 1:
         raise _UsageError(
             "convert requires exactly one of --sigma, --deficit-angle, --g-eta")
-    try:
-        if args.sigma is not None:
-            geom = cone_from_sigma(args.sigma)
-        elif args.deficit_angle is not None:
-            geom = cone_from_deficit_angle(args.deficit_angle)
-        else:
-            geom = cone_from_string_density(args.g_eta)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    if args.sigma is not None:
+        geom = cone_from_sigma(args.sigma)
+    elif args.deficit_angle is not None:
+        geom = cone_from_deficit_angle(args.deficit_angle)
+    else:
+        geom = cone_from_string_density(args.g_eta)
     header = ["sigma", "deficit_angle", "g_eta", "embeddable"]
     rows = [(geom.sigma, deficit_angle(geom), string_density(geom),
              geom.embeddable)]
@@ -164,10 +161,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_wavefunction(args) -> int:
     model = _resolve_model(args)
-    try:
-        qn = QuantumNumbers(args.n, args.m)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    qn = QuantumNumbers(args.n, args.m)
     for flag, v in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         if not math.isfinite(v):
             raise _UsageError(f"{flag} must be a finite real, got {v!r}")
@@ -198,11 +192,8 @@ def _cmd_kernel(args) -> int:
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise _UsageError(
             f"--tail-tol must be a finite real >= 0, got {tol!r}")
-    try:
-        query = KernelQuery(r1=args.r1, r2=args.r2, beta=args.beta,
-                            m_max=args.m_max)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    query = KernelQuery(r1=args.r1, r2=args.r2, beta=args.beta,
+                        m_max=args.m_max)
     result = full_kernel(model, query, args.dtheta)
     header = ["value", "tail_bound", "m_max"]
     rows = [(result.value, result.tail_bound, result.m_max)]
@@ -317,17 +308,13 @@ def _suite_normalization(model) -> list:
     from scipy.integrate import quad
     records = []
     hbar = model.consts.hbar
-
-    def radial(qn):
-        return lambda r: radial_wavefunction(model, qn, r)
-
     pairs = [((0, 0), (0, 0)), ((1, 0), (1, 0)), ((0, 1), (0, 1)),
              ((2, 1), (2, 1)), ((0, 0), (1, 0)), ((0, 1), (2, 1))]
     upper = 14.0 * math.sqrt(hbar / (model.consts.mass * model.omega))
     for (n1, m1), (n2, m2) in pairs:
-        f1 = radial(QuantumNumbers(n1, m1))
-        f2 = radial(QuantumNumbers(n2, m2))
-        val, _ = quad(lambda r: f1(r) * f2(r) * r, 0.0, upper,
+        q1, q2 = QuantumNumbers(n1, m1), QuantumNumbers(n2, m2)
+        val, _ = quad(lambda r: radial_wavefunction(model, q1, r)
+                      * radial_wavefunction(model, q2, r) * r, 0.0, upper,
                       epsabs=1.0e-12, epsrel=1.0e-12, limit=200)
         val *= 2.0 * math.pi
         same = (n1, m1) == (n2, m2)
@@ -420,9 +407,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"coneqm: {exc}\n")
-        return 2
     except ValueError as exc:
         sys.stderr.write(f"coneqm: {exc}\n")
         return 2

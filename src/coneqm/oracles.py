@@ -281,6 +281,20 @@ def spectrum_match_report(model: OscillatorModel, m: int,
     return SpectrumMatchReport(m=m, mode=mode, mode_gap=gap, levels=levels)
 
 
+def _short_time_angular(geom: ConeGeometry, consts: PhysicalConstants,
+                        m: int, r_hat: float, eps: float):
+    # w = M r_hat^2/(hbar eps) and the bounded factor sigma ive(|m|, sigma^2 w)
+    r_hat = float(r_hat)
+    eps = float(eps)
+    if not math.isfinite(r_hat) or r_hat <= 0.0:
+        raise ValueError(f"r_hat must be a finite real > 0, got {r_hat!r}")
+    if not math.isfinite(eps) or eps <= 0.0:
+        raise ValueError(f"eps must be a finite real > 0, got {eps!r}")
+    s = geom.sigma
+    w = consts.mass * r_hat * r_hat / (consts.hbar * eps)
+    return w, s * float(ive(abs(m), s * s * w))
+
+
 def short_time_bfI(geom: ConeGeometry, consts: PhysicalConstants, m: int,
                    r_hat: float, eps: float) -> float:
     """Short-time angular factor of the sliced cone path integral,
@@ -293,16 +307,9 @@ def short_time_bfI(geom: ConeGeometry, consts: PhysicalConstants, m: int,
     sigma * e^{w} * ive(m, sigma^2 w) with w = M r_hat^2/(hbar eps), so the
     only overflow possible is in the genuinely huge final value.
     """
-    r_hat = float(r_hat)
-    eps = float(eps)
-    if not math.isfinite(r_hat) or r_hat <= 0.0:
-        raise ValueError(f"r_hat must be a finite real > 0, got {r_hat!r}")
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"eps must be a finite real > 0, got {eps!r}")
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError(f"m must be an integer, got {m!r}")
-    s = geom.sigma
-    w = consts.mass * r_hat * r_hat / (consts.hbar * eps)
+    w, bounded = _short_time_angular(geom, consts, m, r_hat, eps)
     try:
         growth = math.exp(w)
     except OverflowError:
@@ -311,7 +318,7 @@ def short_time_bfI(geom: ConeGeometry, consts: PhysicalConstants, m: int,
             "use recombination_ratio or smaller M r_hat^2/(hbar eps)"
         ) from None
     # the growth factor last, so sigma > 1 cannot overflow a finite value
-    return s * float(ive(abs(m), s * s * w)) * growth
+    return bounded * growth
 
 
 def recombination_ratio(geom: ConeGeometry, consts: PhysicalConstants, m: int,
@@ -328,19 +335,13 @@ def recombination_ratio(geom: ConeGeometry, consts: PhysicalConstants, m: int,
             "recombination for m = 0 on a sigma < 1 cone corresponds to an "
             "imaginary free-cone index; pick m != 0 or sigma >= 1"
         )
-    r_hat = float(r_hat)
-    eps = float(eps)
-    if not math.isfinite(r_hat) or r_hat <= 0.0:
-        raise ValueError(f"r_hat must be a finite real > 0, got {r_hat!r}")
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"eps must be a finite real > 0, got {eps!r}")
+    w, numer = _short_time_angular(geom, consts, m, r_hat, eps)
     s = geom.sigma
     if s == 1.0:
         return 1.0
-    w = consts.mass * r_hat * r_hat / (consts.hbar * eps)
     v_eff = effective_potential(geom, consts, r_hat)
-    numer = s * float(ive(abs(m), s * s * w))
-    denom = math.exp(-v_eff * eps / consts.hbar) * float(ive(abs(m) / s, w))
+    denom = math.exp(-v_eff * float(eps) / consts.hbar) \
+        * float(ive(abs(m) / s, w))
     return numer / denom
 
 

@@ -31,10 +31,10 @@ import numpy as np
 # coupled_index_nu and ln_gamma are unused here; bench/tracing.py wraps them
 from .geometry import coupled_index_nu  # noqa: F401
 from .grids import RadialGrid
-from .specfun import (bessel_i_scaled, bessel_i_scaled_array, exp_each,
-                      laguerre_sequence)
+from .specfun import bessel_i_scaled, bessel_i_scaled_array, exp_each
 from .specfun import ln_gamma  # noqa: F401
-from .spectrum import OscillatorModel
+from .spectrum import (OscillatorModel, QuantumNumbers, energy,
+                       radial_wavefunctions)
 
 __all__ = [
     "KernelQuery", "SpectralKernel", "FullKernel", "SemigroupResult",
@@ -161,34 +161,18 @@ def radial_kernel_spectral(model: OscillatorModel, m: int,
     ``last_term`` is the magnitude of the final summand, a convergence
     diagnostic for the (monotonically dominated) tail.
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     r1 = float(r1)
     r2 = float(r2)
     if not math.isfinite(r1) or r1 <= 0.0 or not math.isfinite(r2) or r2 <= 0.0:
         raise ValueError("r1 and r2 must be finite reals > 0")
     beta = _check_beta(beta)
-    nu = model.nu(m)
-    hbar = model.consts.hbar
-    a = model.consts.mass * model.omega / hbar
-    x1 = a * r1 * r1
-    x2 = a * r2 * r2
-    lag1 = laguerre_sequence(n_max, nu, x1)
-    lag2 = laguerre_sequence(n_max, nu, x2)
-    # psi_n(r) = N_n r^nu e^{-x/2} n! Gamma(nu+1)/Gamma(n+nu+1) L_n^nu(x);
-    # collapse the n-dependent gamma factors in log space
-    base = (nu * math.log(r1 * r2) - 0.5 * (x1 + x2)
-            + (nu + 1.0) * math.log(a) - math.log(math.pi))
-    total = 0.0
-    last = 0.0
-    for n in range(n_max + 1):
-        e_n = hbar * model.omega * (2 * n + 1 + nu)
-        lw = (base + math.lgamma(n + 1.0) - math.lgamma(n + nu + 1.0)
-              - beta * e_n / hbar)
-        term = 2.0 * math.pi * math.exp(lw) * lag1[n] * lag2[n]
-        total += term
-        last = term
-    return SpectralKernel(value=total, last_term=abs(last), n_max=n_max)
+    psi1 = radial_wavefunctions(model, m, n_max, r1)
+    psi2 = radial_wavefunctions(model, m, n_max, r2)
+    terms = [2.0 * math.pi * psi1[n] * psi2[n] * math.exp(
+        -beta * energy(model, QuantumNumbers(n, m)) / model.consts.hbar)
+        for n in range(n_max + 1)]
+    return SpectralKernel(value=math.fsum(terms), last_term=abs(terms[-1]),
+                          n_max=n_max)
 
 
 def _log_amos_ratio(nu: float, z: float) -> float:

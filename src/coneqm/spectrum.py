@@ -13,10 +13,14 @@ import math
 from dataclasses import dataclass
 
 from .geometry import ConeGeometry, PhysicalConstants, coupled_index_nu
-from .specfun import hyp1f1_terminating, ln_gamma
+from .specfun import ln_gamma
+# hyp1f1_terminating is unused here; bench/tracing.py wraps it
+from .specfun import hyp1f1_terminating  # noqa: F401
 
 # largest state list enumerate_states builds
 _MAX_STATES = 1_000_000
+# ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for |k| < 2^21 (fdlibm)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 @dataclass(frozen=True)
@@ -110,20 +114,71 @@ def normalization_constant(model: OscillatorModel, qn: QuantumNumbers) -> float:
         ) from None
 
 
-def radial_wavefunction(model: OscillatorModel, qn: QuantumNumbers,
-                        r: float) -> float:
-    """Real radial factor N_nm r^nu e^{-(M omega/2 hbar) r^2} 1F1(-n, nu+1; (M omega/hbar) r^2)."""
+def radial_wavefunctions(model: OscillatorModel, m: int, n_max: int,
+                         r: float) -> list:
+    """[psi_0m(r), ..., psi_{n_max m}(r)] as psi_nm = (psi_0m / f_0) f_n, with
+    f_k = sqrt(k!/Gamma(k+nu+1)) L_k^nu(x), x = (M omega/hbar) r^2, from
+
+        sqrt(k(k+nu)) f_k = (2k-1+nu-x) f_{k-1} - sqrt((k-1)(k-1+nu)) f_{k-2}
+
+    (DLMF 18.9.1).  psi_0m = exp(ln N_0m + nu ln r - x/2) is kept as
+    mant 2^scale and the growth of f_k/f_0 is moved into scale, so neither
+    e^{-x/2} nor L_n^nu(x) is formed alone: every value is finite.
+    """
+    ground = QuantumNumbers(0, m)
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"r must be a finite real >= 0, got {r!r}")
-    nu = model.nu(qn.m)
-    N = normalization_constant(model, qn)
-    if r == 0.0:
-        # r^nu -> 0 for nu > 0; the nu = 0 (marginal) radial factor is N
-        return N if nu == 0.0 else 0.0
-    a = model.consts.mass * model.omega / model.consts.hbar
-    x = a * r * r
-    return N * r ** nu * math.exp(-0.5 * x) * hyp1f1_terminating(qn.n, nu + 1.0, x)
+    nu = model.nu(m)
+    x = model.consts.mass * model.omega / model.consts.hbar * r * r
+    # r = 0 gives r^nu = 0 for nu > 0, and for nu = 0 keeps every f_k/f_0 = 1
+    ln_rest = normalization_log(model, ground) \
+        + (nu * math.log(r) if r else -math.inf if nu else 0.0)
+    # |f_k/f_0| <= b^k, each coefficient being below b; below e^-746 every
+    # value rounds to 0 (this test also catches nu ln r = -inf and x = inf)
+    b = 1.0 + x + nu + 2.0 * n_max
+    if not ln_rest - 0.5 * x + n_max * math.log(b) >= -746.0:
+        return [0.0] * (n_max + 1)
+    scale = round((ln_rest - 0.5 * x) / _LN2_HI)
+    # 0.5 x and scale * _LN2_HI are exact and nearly cancel
+    mant = math.exp(ln_rest - (0.5 * x + scale * _LN2_HI) - scale * _LN2_LO)
+    # g_k = (f_k/f_0) 2^-(growth moved into scale) stays below big, so no
+    # step overflows; while unit is below the normal range, below 1
+    unit = math.ldexp(mant, scale)
+    big = 1e300 / b if scale > -1022 else 1.0
+    # the recurrence runs as sqrt(k(k+nu)) (f_k - f_{k-1}) = (gap_k +
+    # gap_{k-1} - x) f_{k-1} + sqrt((k-1)(k-1+nu)) (f_{k-1} - f_{k-2}) with
+    # gap_j = (j + nu/2) - sqrt(j(j+nu)) = (nu^2/4)/(j + nu/2 + sqrt(j(j+nu)))
+    # free of cancellation: in the plain form 2k-1+nu-x cancels against the
+    # square roots, costing 5e-12 at n = 2769, x = 9
+    quarter, half = 0.25 * nu * nu, 0.5 * nu
+    out = [unit]
+    g, dg = 1.0, 0.0                         # g_k and g_k - g_{k-1}
+    back, gap_back = 0.0, half
+    for k in range(1, n_max + 1):
+        ahead = math.sqrt(k * (k + nu))
+        gap = quarter / (k + half + ahead)
+        dg = ((gap + gap_back - x) * g + back * dg) / ahead
+        g += dg
+        back, gap_back = ahead, gap
+        if not -big <= g <= big:
+            g, shift = math.frexp(g)
+            dg = math.ldexp(dg, -shift)
+            scale += shift
+            unit = math.ldexp(mant, scale)
+            big = 1e300 / b if scale > -1022 else 1.0
+        out.append(unit * g)
+    return out
+
+
+def radial_wavefunction(model: OscillatorModel, qn: QuantumNumbers,
+                        r: float) -> float:
+    """Real radial factor N_nm r^nu e^{-(M omega/2 hbar) r^2} 1F1(-n, nu+1; (M omega/hbar) r^2).
+
+    The last entry of ``radial_wavefunctions``."""
+    return radial_wavefunctions(model, qn.m, qn.n, r)[-1]
 
 
 def wavefunction(model: OscillatorModel, qn: QuantumNumbers,

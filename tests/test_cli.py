@@ -189,6 +189,25 @@ def test_wavefunction_psi_abs_is_abs_of_psi_radial(capsys, m):
         assert psi_abs == abs(psi_rad)
 
 
+@pytest.mark.parametrize("n, r_max, points, r_ref, psi_ref", [
+    ("300", "40", "4", 40.0, 1.1148896322479383e-32),
+    ("3000", "150", "3", 75.0, -0.0046485856550042065),
+])
+def test_wavefunction_large_n_far_out_is_finite(capsys, n, r_max, points,
+                                                r_ref, psi_ref):
+    # these rows used to print nan; psi_ref is a 40-digit mpmath value
+    code, out, err = run(capsys, "wavefunction", "--n", n, "--m", "1",
+                         "--points", points, "--r-max", r_max)
+    assert code == 0
+    assert err == ""
+    rows = [[float(v) for v in ln.split(",")]
+            for ln in out.strip().splitlines()[1:]]
+    assert len(rows) == int(points)
+    assert all(math.isfinite(v) for row in rows for v in row)
+    psi = {r: psi_rad for r, _, psi_rad in rows}
+    assert psi[r_ref] == pytest.approx(psi_ref, rel=1e-12)
+
+
 @pytest.mark.parametrize("flag", ["--points", "--n"])
 def test_wavefunction_budget_exit_2(capsys, flag):
     # refused before any row is computed

@@ -127,6 +127,16 @@ def test_spectral_partial_sum_structure():
     assert s1.n_max == 1
 
 
+@pytest.mark.parametrize("r, n_max", [(30.0, 400), (38.0, 800)])
+def test_spectral_sum_far_out_matches_closed(r, n_max):
+    # each term's Gaussian is carried in the wavefunctions' scale: the sum
+    # used to give 0.0 at r = 30 and nan at r = 38
+    m = model(sigma=0.5, kappa=1.0)
+    closed = radial_kernel_closed(m, 1, r, r, 0.1)
+    spectral = radial_kernel_spectral(m, 1, r, r, 0.1, n_max).value
+    assert abs(spectral - closed) <= 1e-10 * closed
+
+
 def test_spectral_flat_agreement():
     m = model(sigma=1.0, kappa=0.0)
     err = spectral_vs_closed_relative_error(m, 1, 1.0, 1.0, 1.0, 40)

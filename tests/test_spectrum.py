@@ -1,7 +1,9 @@
 """Bound-state data: energies, wavefunctions, normalization, enumeration."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,7 +12,8 @@ from coneqm.geometry import ConeGeometry, PhysicalConstants
 from coneqm.spectrum import (OscillatorModel, QuantumNumbers, energy,
                              enumerate_states, normalization_constant,
                              normalization_log, potential,
-                             radial_wavefunction, wavefunction)
+                             radial_wavefunction, radial_wavefunctions,
+                             wavefunction)
 
 NAT = PhysicalConstants()
 
@@ -187,6 +190,92 @@ def test_first_excited_has_one_radial_node():
     rs = np.linspace(0.01, 6.0, 2000)
     signs = np.sign([radial_wavefunction(m, qn, r) for r in rs])
     assert np.count_nonzero(np.diff(signs)) == 1
+
+
+def _psi_reference(m, n, mm, r):
+    """N r^nu e^{-x/2} 1F1(-n, nu+1, x) at 40 digits, x = (M omega/hbar) r^2."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(m.nu(mm))
+        r = mpmath.mpf(r)
+        a = mpmath.mpf(m.consts.mass) * m.omega / m.consts.hbar
+        x = a * r * r
+        norm = mpmath.sqrt(mpmath.gamma(n + nu + 1) * a ** (nu + 1)
+                           / (mpmath.pi * mpmath.factorial(n))) \
+            / mpmath.gamma(nu + 1)
+        return norm * r ** nu * mpmath.exp(-x / 2) \
+            * mpmath.hyp1f1(-n, nu + 1, x)
+
+
+@pytest.mark.parametrize("n, r", [(300, 40.0), (3000, 75.0), (3000, 119.75),
+                                  (3000, 2.0)])
+def test_wavefunction_examples_match_mpmath(n, r):
+    # x = 1600 and 5625: e^{-x/2} and L_n alone leave the double range, and
+    # their product used to be nan.  x = 14340: splitting the seed
+    # ln psi_0 (about -7170) into mant 2^scale with a one-part ln 2 is
+    # 1.1e-12 off.  x = 4: the plain Laguerre recurrence loses 1.4e-11 to
+    # cancellation at n = 3000
+    m = model(sigma=0.5, kappa=1.0)
+    got = radial_wavefunction(m, QuantumNumbers(n, 1), r)
+    ref = _psi_reference(m, n, 1, r)
+    assert math.isfinite(got)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_wavefunction_matches_mpmath_on_seeded_points():
+    # n <= 3000 and r up to 1.5 times the outer turning point
+    # sqrt((4n + 2nu + 2)/a).  r keeps 24 bits and a is a power of two, so
+    # x = a r^2 is exact and the reference sees the same x.  Near a node of
+    # psi_n the O(n) recurrence is accurate relative to the size of the pair
+    # (psi_n, psi_{n+1}) it carries, not to psi_n itself (1e-13 against up to
+    # 9e-12 measured on 1100 points), so that size sets the scale.
+    rng = np.random.default_rng(20261018)
+    for _ in range(24):
+        sigma = float(rng.uniform(0.3, 2.0))
+        m = model(sigma=sigma, kappa=1.0 - sigma * sigma
+                  + float(rng.uniform(0.0, 3.0)),
+                  omega=float(rng.choice([0.5, 1.0, 2.0])))
+        n = int(rng.integers(0, 3001))
+        mm = int(rng.integers(-4, 5))
+        turning = math.sqrt((4 * n + 2 * m.nu(mm) + 2) / m.omega)
+        r = float(np.float32(rng.uniform(0.0, 1.5 * turning)))
+        psi = radial_wavefunctions(m, mm, n + 1, r)
+        assert psi[n] == radial_wavefunction(m, QuantumNumbers(n, mm), r)
+        assert all(math.isfinite(v) for v in psi)
+        ref = _psi_reference(m, n, mm, r)
+        if abs(ref) >= sys.float_info.min:
+            size = max(abs(ref), abs(_psi_reference(m, n + 1, mm, r)))
+            assert abs(psi[n] - ref) <= 1e-12 * size, (n, mm, sigma, r)
+        else:
+            assert abs(psi[n]) < sys.float_info.min
+
+
+def test_wavefunctions_list_while_psi_0_underflows():
+    # at r = 40 psi_0m is about 1e-348 while psi_25m .. psi_300m are normal
+    m = model(sigma=0.5, kappa=1.0)
+    psi = radial_wavefunctions(m, 1, 300, 40.0)
+    for n in range(0, 301, 25):
+        ref = _psi_reference(m, n, 1, 40.0)
+        if abs(ref) >= sys.float_info.min:
+            assert abs(psi[n] - ref) <= 1e-12 * abs(ref), n
+        else:
+            assert abs(psi[n]) < sys.float_info.min
+
+
+def test_wavefunctions_list_and_origin():
+    m = model(sigma=0.8, kappa=2.0)
+    psi = radial_wavefunctions(m, 2, 5, 1.7)
+    assert psi == [radial_wavefunction(m, QuantumNumbers(n, 2), 1.7)
+                   for n in range(6)]
+    assert radial_wavefunctions(m, 0, 3, 0.0) == [0.0] * 4      # nu > 0
+    marginal = model(sigma=0.5, kappa=0.75)                     # nu(0) = 0
+    for n, v in enumerate(radial_wavefunctions(marginal, 0, 3, 0.0)):
+        assert v == pytest.approx(
+            normalization_constant(marginal, QuantumNumbers(n, 0)),
+            rel=1e-14)
+    # far past every turning point, and at an x = a r^2 that overflows
+    assert radial_wavefunctions(m, 1, 3, 1e200) == [0.0] * 4
+    with pytest.raises(ValueError):
+        radial_wavefunctions(m, 1, -1, 1.0)
 
 
 def test_enumerate_flat_ladder():
