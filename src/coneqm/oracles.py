@@ -17,15 +17,23 @@ Three oracles, all deliberately independent of the closed-form kernel code:
 Bessel evaluations here go through scipy (AMOS) rather than the package's own
 special-function layer, keeping the two routes of every comparison
 independent.  Eigenvalues come from LAPACK's tridiagonal bisection on Sturm
-sequences (scipy.linalg.eigh_tridiagonal with index selection).
+sequences: dstebz, reached through scipy's Cython LAPACK API and called by
+ctypes, which releases the GIL for the call.  The four solves of a
+spectrum_match_report (coarse and refined grid, each also with r_min halved)
+therefore run at the same time on a pool of four threads.  The eigenvalues
+are bit-identical to scipy.linalg.eigh_tridiagonal with index selection and
+lapack_driver="stebz", which makes the same LAPACK call.
 """
 
+import ctypes
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, cython_lapack
 from scipy.special import ive
 
 from .geometry import (ConeGeometry, ImaginaryIndexError, PhysicalConstants,
@@ -153,24 +161,110 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
     return TridiagonalMatrix(diagonal=diag, offdiagonal=off, interior_r=r)
 
 
+# dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
+# isplit, work, iwork, info) as scipy.linalg.cython_lapack exports it: a C
+# function, so a ctypes call to it runs with the GIL released
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+_DSTEBZ_ARGS = (ctypes.c_char_p, ctypes.c_char_p, _INT_P, _DOUBLE_P,
+                _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P,
+                _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
+                _INT_P)
+_DSTEBZ_PROTOTYPE = ctypes.CFUNCTYPE(None, *_DSTEBZ_ARGS)
+# how the capsule's signature spells each argument type (d is
+# cython_lapack's typedef of double)
+_C_SPELLING = {ctypes.c_char_p: "char *", _INT_P: "int *",
+               _DOUBLE_P: "__pyx_t_5scipy_6linalg_13cython_lapack_d *"}
+
+
+def _load_dstebz(capsules):
+    """dstebz from a Cython ``__pyx_capi__`` table, called through
+    _DSTEBZ_PROTOTYPE; ImportError if the capsule's C signature differs."""
+    capsule = capsules["dstebz"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    signature = get_name(capsule)
+    expected = "void (" + ", ".join(_C_SPELLING[t] for t in _DSTEBZ_ARGS) + ")"
+    if signature.decode() != expected:
+        raise ImportError(
+            f"scipy.linalg.cython_lapack exports dstebz as "
+            f"{signature.decode()!r}, not as the {expected!r} that "
+            "coneqm.oracles calls it with")
+    return _DSTEBZ_PROTOTYPE(get_pointer(capsule, signature))
+
+
+_dstebz = _load_dstebz(cython_lapack.__pyx_capi__)
+
+
+def _real_vector(values, length: int, name: str) -> np.ndarray:
+    # the input checks of eigh_tridiagonal: finite, real, one-dimensional
+    a = np.asarray_chkfinite(values)
+    if a.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must be real, got dtype {a.dtype}")
+    if a.ndim != 1 or a.size != length:
+        raise ValueError(
+            f"{name} must be 1-D of length {length}, got shape {a.shape}")
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
 def eigen_lowest(matrix: TridiagonalMatrix, k: int) -> np.ndarray:
     """k smallest eigenvalues, ascending.
 
-    Computed by LAPACK bisection on the Sturm sequence (dstebz via
-    eigh_tridiagonal with index selection); each eigenvalue is located to an
-    interval of width ~eps * ||T||, far inside the 1e-10 * scale contract.
+    Computed by LAPACK bisection on the Sturm sequence: dstebz for the
+    indices 1..k in ascending order with abstol 0, so each eigenvalue is
+    located to an interval of width ~eps * ||T||, far inside the
+    1e-10 * scale contract.  The call releases the GIL, so solves in other
+    threads run alongside it.  The values are bit-identical to
+    scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+    select_range=(0, k - 1), lapack_driver="stebz"), which makes the same
+    call, and the same inputs are refused: ValueError for a NaN or inf
+    entry or for arrays that are not 1-D of lengths n and n - 1,
+    LinAlgError when LAPACK reports a failure or finds fewer than k.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k > matrix.dimension:
+    n = matrix.dimension
+    if k > n:
         raise ValueError(
-            f"requested {k} eigenvalues of a {matrix.dimension}-dimensional matrix"
+            f"requested {k} eigenvalues of a {n}-dimensional matrix"
         )
-    return eigh_tridiagonal(
-        matrix.diagonal, matrix.offdiagonal,
-        eigvals_only=True, select="i", select_range=(0, k - 1),
-        lapack_driver="stebz",
-    )
+    d = _real_vector(matrix.diagonal, n, "diagonal")
+    e = _real_vector(matrix.offdiagonal, n - 1, "offdiagonal")
+    w = np.empty(n)
+    iblock = np.empty(n, dtype=np.intc)
+    isplit = np.empty(n, dtype=np.intc)
+    work = np.empty(4 * n)
+    iwork = np.empty(3 * n, dtype=np.intc)
+    found, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    zero = ctypes.byref(ctypes.c_double(0.0))
+    _dstebz(b"I", b"E", ctypes.byref(ctypes.c_int(n)), zero, zero,
+            ctypes.byref(ctypes.c_int(1)), ctypes.byref(ctypes.c_int(k)), zero,
+            d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
+            ctypes.byref(found), ctypes.byref(nsplit),
+            w.ctypes.data_as(_DOUBLE_P), iblock.ctypes.data_as(_INT_P),
+            isplit.ctypes.data_as(_INT_P), work.ctypes.data_as(_DOUBLE_P),
+            iwork.ctypes.data_as(_INT_P), ctypes.byref(info))
+    if info.value != 0 or found.value != k:
+        raise LinAlgError(
+            f"dstebz found {found.value} of the {k} lowest eigenvalues of a "
+            f"{n}-dimensional matrix (LAPACK info={info.value})")
+    return w[:k]
+
+
+def _start_solver_pool():
+    # one worker per solve of a spectrum_match_report; rebuilt in a forked
+    # child, which inherits the pool but none of its threads
+    global _SOLVES
+    _SOLVES = ThreadPoolExecutor(max_workers=4,
+                                 thread_name_prefix="coneqm-eigen")
+
+
+_start_solver_pool()
+if hasattr(os, "register_at_fork"):      # absent where there is no fork
+    os.register_at_fork(after_in_child=_start_solver_pool)
 
 
 def podolsky_index(model: OscillatorModel, m: int) -> float:
@@ -215,12 +309,8 @@ class SpectrumMatchReport:
         return all(lv.verdict == "matches" for lv in self.levels)
 
 
-def _richardson_levels(model: OscillatorModel, m: int,
-                       mode: CurvatureTermMode, grid: RadialGrid,
-                       k: int):
-    e_coarse = eigen_lowest(radial_hamiltonian_matrix(model, m, mode, grid), k)
-    e_fine = eigen_lowest(
-        radial_hamiltonian_matrix(model, m, mode, grid.refined()), k)
+def _richardson(e_coarse: np.ndarray, e_fine: np.ndarray):
+    # second-order extrapolation in the spacing and its residual estimate
     extrapolated = (4.0 * e_fine - e_coarse) / 3.0
     disc_est = np.abs(e_fine - e_coarse) / 3.0
     return extrapolated, disc_est
@@ -244,10 +334,21 @@ def spectrum_match_report(model: OscillatorModel, m: int,
     from the analytic energy is below 10x that estimate, "excludes" when
     above, and is "inconclusive" when the threshold cannot resolve the
     Jensen-Koppe / Podolsky gap.
+
+    The four matrices (coarse and refined, each also with r_min halved) are
+    built in the calling thread; their four eigen-solves run at the same
+    time on a pool of four threads, and an error in one of them is raised
+    here as it is.
     """
-    e_rich, disc_est = _richardson_levels(model, m, mode, grid, k)
     half_grid = RadialGrid(0.5 * grid.r_min, grid.r_max, grid.points)
-    e_rich_half, _ = _richardson_levels(model, m, mode, half_grid, k)
+    matrices = [radial_hamiltonian_matrix(model, m, mode, g) for g in
+                (grid, grid.refined(), half_grid, half_grid.refined())]
+    # eigen_lowest is looked up in the module at call time, as it was when
+    # called directly
+    solves = [_SOLVES.submit(eigen_lowest, mat, k) for mat in matrices]
+    coarse, fine, half_coarse, half_fine = [s.result() for s in solves]
+    e_rich, disc_est = _richardson(coarse, fine)
+    e_rich_half, _ = _richardson(half_coarse, half_fine)
 
     nu = model.nu(m)
     nu_p = podolsky_index(model, m)

@@ -88,14 +88,17 @@ def energy(model: OscillatorModel, qn: QuantumNumbers) -> float:
     return model.consts.hbar * model.omega * (2 * qn.n + 1 + model.nu(qn.m))
 
 
-def normalization_log(model: OscillatorModel, qn: QuantumNumbers) -> float:
-    """ln N_nm, always finite; exponentiate only when safe."""
-    nu = model.nu(qn.m)
+def _normalization_log(model: OscillatorModel, n: int, nu: float) -> float:
     a = model.consts.mass * model.omega / model.consts.hbar
     return (-ln_gamma(nu + 1.0)
-            + 0.5 * (ln_gamma(qn.n + nu + 1.0) - math.log(math.pi)
-                     - ln_gamma(qn.n + 1.0))
+            + 0.5 * (ln_gamma(n + nu + 1.0) - math.log(math.pi)
+                     - ln_gamma(n + 1.0))
             + 0.5 * (nu + 1.0) * math.log(a))
+
+
+def normalization_log(model: OscillatorModel, qn: QuantumNumbers) -> float:
+    """ln N_nm, always finite; exponentiate only when safe."""
+    return _normalization_log(model, qn.n, model.nu(qn.m))
 
 
 def normalization_constant(model: OscillatorModel, qn: QuantumNumbers) -> float:
@@ -125,7 +128,8 @@ def radial_wavefunctions(model: OscillatorModel, m: int, n_max: int,
     mant 2^scale and the growth of f_k/f_0 is moved into scale, so neither
     e^{-x/2} nor L_n^nu(x) is formed alone: every value is finite.
     """
-    ground = QuantumNumbers(0, m)
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     r = float(r)
@@ -134,7 +138,7 @@ def radial_wavefunctions(model: OscillatorModel, m: int, n_max: int,
     nu = model.nu(m)
     x = model.consts.mass * model.omega / model.consts.hbar * r * r
     # r = 0 gives r^nu = 0 for nu > 0, and for nu = 0 keeps every f_k/f_0 = 1
-    ln_rest = normalization_log(model, ground) \
+    ln_rest = _normalization_log(model, 0, nu) \
         + (nu * math.log(r) if r else -math.inf if nu else 0.0)
     # |f_k/f_0| <= b^k, each coefficient being below b; below e^-746 every
     # value rounds to 0 (this test also catches nu ln r = -inf and x = inf)

@@ -489,6 +489,24 @@ def test_verify_spectrum_imaginary_index_exit_2(capsys):
         assert "math domain error" not in err
 
 
+@pytest.mark.parametrize("flags, code", [
+    ((), 0),
+    (("--mode", "podolsky"), 0),
+    (("--sigma", "1", "--kappa", "0"), 0),
+    # thresholds above the Jensen-Koppe / Podolsky gap still call "matches"
+    (("--mode", "podolsky", "--sigma", "0.999"), 1),
+    # ImaginaryIndexError from podolsky_index, after the pooled solves
+    (("--sigma", "2", "--kappa", "-3"), 2),
+    # ImaginaryIndexError from the matrix build, before any solve
+    (("--sigma", "2", "--kappa", "-3", "--mode", "podolsky"), 2),
+])
+def test_verify_spectrum_exit_codes(capsys, flags, code):
+    got, out, err = run(capsys, "verify", "--suite", "spectrum", *flags)
+    assert got == code
+    assert (code == 2) == (out == "")
+    assert (code == 2) == ("imaginary" in err)
+
+
 def test_verify_failing_record_exits_1(capsys, monkeypatch):
     import coneqm.cli as cli
     fail_record = [{"suite": "semigroup", "case": "forced failure",

@@ -112,6 +112,116 @@ def test_eigen_2x2_analytic():
         eigen_lowest(mat, 3)
 
 
+def _tridiagonal(d, e):
+    from coneqm.oracles import TridiagonalMatrix
+    d = np.asarray(d, dtype=float)
+    return TridiagonalMatrix(diagonal=d, offdiagonal=np.asarray(e, dtype=float),
+                             interior_r=np.arange(1.0, len(d) + 1.0))
+
+
+def _parity_cases():
+    rng = np.random.default_rng(20261018)
+    cases = [
+        ("n=1", [-2.5], [], 1),
+        ("n=2 k=1", [2.0, -1.0], [0.5], 1),
+        ("n=2 k=2", [2.0, -1.0], [0.5], 2),
+        ("k=n", rng.normal(size=9), rng.normal(size=8), 9),
+    ]
+    e = rng.normal(size=39)
+    e[[3, 17, 18, 30]] = 0.0                 # splits into four blocks
+    cases.append(("split", rng.normal(size=40), e, 12))
+    cases.append(("all split, repeated", np.full(25, -3.0), np.zeros(24), 25))
+    cases.append(("negative, clustered",
+                  -7.0 + 1e-13 * rng.normal(size=60), 1e-14 * rng.normal(size=59),
+                  30))
+    cases.append(("scaled", 1e8 * rng.normal(size=300),
+                  1e8 * rng.normal(size=299), 40))
+    for i, n in enumerate((16, 101, 1000)):
+        cases.append((f"seeded {i}", rng.normal(size=n), rng.normal(size=n - 1),
+                      min(n, 20)))
+    m = model(sigma=0.5, kappa=1.0)
+    for points in (4000, 7999):
+        for mode in CurvatureTermMode:
+            mat = radial_hamiltonian_matrix(m, 1, mode,
+                                            RadialGrid(1e-3, 12.0, points))
+            cases.append((f"oracle {points} {mode.value}", mat.diagonal,
+                          mat.offdiagonal, 20))
+    return cases
+
+
+def test_eigen_lowest_is_eigh_tridiagonal_stebz_bit_for_bit():
+    from scipy.linalg import eigh_tridiagonal
+    for label, d, e, k in _parity_cases():
+        ours = eigen_lowest(_tridiagonal(d, e), k)
+        ref = eigh_tridiagonal(np.asarray(d, float), np.asarray(e, float),
+                               eigvals_only=True, select="i",
+                               select_range=(0, k - 1), lapack_driver="stebz")
+        assert ours.dtype == np.float64 and ours.shape == (k,), label
+        assert ours.tobytes() == ref.tobytes(), label
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["diagonal", "offdiagonal"])
+def test_eigen_lowest_refuses_non_finite_entries(bad, where):
+    d, e = np.full(6, 2.0), np.full(5, -1.0)
+    (d if where == "diagonal" else e)[2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigen_lowest(_tridiagonal(d, e), 2)
+
+
+@pytest.mark.parametrize("d, e", [
+    (np.full(6, 2.0), np.full(6, -1.0)),          # off-diagonal too long
+    (np.full(6, 2.0), np.full(4, -1.0)),          # off-diagonal too short
+    (np.full((6, 1), 2.0), np.full(5, -1.0)),     # 2-D diagonal
+    (np.full(6, 2.0), np.full((5, 1), -1.0)),     # 2-D off-diagonal
+])
+def test_eigen_lowest_refuses_wrong_shapes(d, e):
+    with pytest.raises(ValueError, match="must be 1-D"):
+        eigen_lowest(_tridiagonal(d, e), 2)
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "positive integer"), (-1, "positive integer"),
+    (2.0, "positive integer"), (True, "positive integer"),
+    ("2", "positive integer"), (7, "requested 7 eigenvalues of a 6-dim"),
+])
+def test_eigen_lowest_refuses_bad_k(k, message):
+    with pytest.raises(ValueError, match=message):
+        eigen_lowest(_tridiagonal(np.full(6, 2.0), np.full(5, -1.0)), k)
+
+
+@pytest.mark.parametrize("info, found", [(1, 2), (3, 1), (0, 1), (-4, 0)])
+def test_eigen_lowest_reports_lapack_failure(monkeypatch, info, found):
+    import coneqm.oracles as oracles
+    from scipy.linalg import LinAlgError
+
+    calls = []
+
+    def fake(range_, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w,
+             iblock, isplit, work, iwork, info_out):
+        # an exception here would be swallowed by ctypes: record, check later
+        calls.append((range_, order, n[0], il[0], iu[0], abstol[0]))
+        m[0] = found
+        info_out[0] = info
+
+    monkeypatch.setattr(oracles, "_dstebz", oracles._DSTEBZ_PROTOTYPE(fake))
+    with pytest.raises(LinAlgError, match=f"found {found} of the 2 lowest.*"
+                       rf"info={info}\)"):
+        eigen_lowest(_tridiagonal(np.full(6, 2.0), np.full(5, -1.0)), 2)
+    assert calls == [(b"I", b"E", 6, 1, 2, 0.0)]
+
+
+def test_dstebz_signature_is_checked_on_load():
+    from scipy.linalg import cython_lapack
+
+    import coneqm.oracles as oracles
+    wrong = cython_lapack.__pyx_capi__["dsterf"]    # (int *, d *, d *, int *)
+    with pytest.raises(ImportError, match=r"exports dstebz as 'void \(int \*"):
+        oracles._load_dstebz({"dstebz": wrong})
+    right = oracles._load_dstebz(cython_lapack.__pyx_capi__)
+    assert isinstance(right, oracles._DSTEBZ_PROTOTYPE)
+
+
 def test_eigen_flat_oscillator_m1():
     # flat kappa=0, m=1: u ~ r^{3/2} at the origin, so the r_min=1e-3 wall
     # is harmless and the plain grid already reproduces E = 2, 4, 6
@@ -290,6 +400,113 @@ def test_spectrum_match_sigma_one_modes_identical():
         rep = spectrum_match_report(m, 1, mode, grid, k=3)
         assert rep.mode_gap == 0.0
         assert rep.all_match
+
+
+def _report_bits(rep):
+    return [(lv.n, lv.numeric.hex(), lv.est_error.hex(), lv.verdict)
+            for lv in rep.levels]
+
+
+def test_concurrent_reports_equal_serial_reports():
+    # more callers than cores, with a short switch interval, all at once
+    import sys
+    import threading
+    m = model(sigma=0.5, kappa=1.0)
+    grid = RadialGrid(1e-3, 12.0, 1200)
+    jobs = [(mm, mode) for mm in (0, 2) for mode in CurvatureTermMode]
+    serial = [_report_bits(spectrum_match_report(m, mm, mode, grid, 6))
+              for mm, mode in jobs]
+    start = threading.Barrier(len(jobs))
+    got = [None] * len(jobs)
+
+    def work(i):
+        start.wait()
+        mm, mode = jobs[i]
+        got[i] = _report_bits(spectrum_match_report(m, mm, mode, grid, 6))
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial
+
+
+def test_report_solves_run_pooled_through_the_module_function(monkeypatch):
+    import threading
+
+    import coneqm.oracles as oracles
+    real = oracles.eigen_lowest
+    seen = []
+
+    def spy(matrix, k):
+        seen.append((matrix.dimension, threading.current_thread().name))
+        return real(matrix, k)
+
+    monkeypatch.setattr(oracles, "eigen_lowest", spy)
+    spectrum_match_report(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
+                          RadialGrid(1e-3, 12.0, 300), 3)
+    assert sorted(dim for dim, _ in seen) == [298, 298, 597, 597]
+    assert all(name.startswith("coneqm-eigen") for _, name in seen)
+
+
+def test_pooled_solve_error_reaches_caller_unchanged(monkeypatch):
+    import coneqm.oracles as oracles
+    real = oracles.eigen_lowest
+    boom = RuntimeError("solve failed")
+
+    def failing(matrix, k):
+        if matrix.dimension == 597:         # the refined grids' solves
+            raise boom
+        return real(matrix, k)
+
+    monkeypatch.setattr(oracles, "eigen_lowest", failing)
+    with pytest.raises(RuntimeError) as caught:
+        spectrum_match_report(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
+                              RadialGrid(1e-3, 12.0, 300), 3)
+    assert caught.value is boom
+
+
+def _report_in_child(queue):
+    rep = spectrum_match_report(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
+                                RadialGrid(1e-3, 12.0, 300), 3)
+    queue.put(_report_bits(rep))
+
+
+def test_reports_work_in_a_forked_child():
+    # a forked child inherits the pool object but none of its threads; with
+    # all four started in the parent, an inherited pool would take the work
+    # and never run it
+    import multiprocessing
+    import threading
+
+    import coneqm.oracles as oracles
+    gate = threading.Barrier(5)
+    started = [oracles._SOLVES.submit(gate.wait) for _ in range(4)]
+    gate.wait()
+    for job in started:
+        job.result()
+    args = (model(), 1, CurvatureTermMode.JENSEN_KOPPE,
+            RadialGrid(1e-3, 12.0, 300), 3)
+    parent = _report_bits(spectrum_match_report(*args))
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_report_in_child, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == parent
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
 
 
 def test_mode_gap_resolved_across_parameter_grid():

@@ -278,6 +278,12 @@ def test_wavefunctions_list_and_origin():
         radial_wavefunctions(m, 1, -1, 1.0)
 
 
+@pytest.mark.parametrize("m", [1.0, 0.5, True, "1", None])
+def test_wavefunctions_refuse_non_integer_m(m):
+    with pytest.raises(ValueError, match="m must be an integer"):
+        radial_wavefunctions(model(), m, 2, 1.0)
+
+
 def test_enumerate_flat_ladder():
     states = enumerate_states(model(sigma=1.0, kappa=0.0), 2.5, 4)
     key = [(s.qn.n, s.qn.m) for s in states]
