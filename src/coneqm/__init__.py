@@ -21,14 +21,13 @@ from .geometry import (ConeGeometry, ImaginaryIndexError, NotEmbeddableError,
 from .grids import RadialGrid
 from .oracles import (CurvatureTermMode, TransferMatrixResult,
                       eigen_lowest, podolsky_index, radial_hamiltonian_matrix,
-                      recombination_ratio, short_time_bfI,
-                      spectrum_match_report, transfer_matrix_kernel)
+                      recombination_ratio, spectrum_match_report,
+                      transfer_matrix_kernel)
 from .propagator import (FullKernel, KernelQuery, SemigroupResult,
                          SpectralKernel, full_kernel, partial_wave_trace,
                          partial_wave_trace_exact, radial_kernel_closed,
                          radial_kernel_spectral, semigroup_defect)
 from .specfun import bessel_i_scaled, hyp1f1_terminating, ln_gamma
 from .spectrum import (OscillatorModel, QuantumNumbers, StateRecord,
-                       energy, enumerate_states, normalization_constant,
-                       normalization_log, potential, radial_wavefunction,
-                       radial_wavefunctions, wavefunction)
+                       energy, enumerate_states, normalization_log, potential,
+                       radial_wavefunction, radial_wavefunctions, wavefunction)

@@ -99,8 +99,11 @@ def _add_model_flags(p):
 
 def _emit(text, args):
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.output}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -206,6 +209,10 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
+def _oscillator_length(model) -> float:
+    return math.sqrt(model.consts.hbar / (model.consts.mass * model.omega))
+
+
 def _record(suite, case, expected, actual, tolerance, ok):
     return {"suite": suite, "case": case, "expected": expected,
             "actual": actual, "tolerance": tolerance, "pass": bool(ok)}
@@ -213,7 +220,7 @@ def _record(suite, case, expected, actual, tolerance, ok):
 
 def _suite_spectrum(model, mode) -> list:
     records = []
-    length = math.sqrt(model.consts.hbar / (model.consts.mass * model.omega))
+    length = _oscillator_length(model)
     grid = RadialGrid(1.0e-3 * length, 12.0 * length, 2001)
     sigma_flat = model.geom.sigma == 1.0
     expected = "matches" if (mode is CurvatureTermMode.JENSEN_KOPPE
@@ -238,11 +245,12 @@ def _suite_recombination(model) -> list:
                            1.0, rho_flat, 0.0, rho_flat == 1.0))
     if geom.sigma == 1.0:
         return records
-    length = math.sqrt(consts.hbar / (consts.mass * model.omega))
-    r_hat = 1.0 * length
+    r_hat = _oscillator_length(model)
+    # eps in units of 1/omega, so u = hbar eps / (M r_hat^2) and with it the
+    # verdict do not depend on the units
     eps_list = [0.02, 0.01, 0.005]
-    devs = [abs(recombination_ratio(geom, consts, 1, r_hat, e) - 1.0)
-            for e in eps_list]
+    devs = [abs(recombination_ratio(geom, consts, 1, r_hat, e / model.omega)
+                - 1.0) for e in eps_list]
     for i in range(2):
         factor = devs[i] / devs[i + 1] if devs[i + 1] > 0.0 else math.inf
         records.append(_record(
@@ -255,7 +263,7 @@ def _suite_recombination(model) -> list:
 
 
 def _suite_transfer(model) -> list:
-    length = math.sqrt(model.consts.hbar / (model.consts.mass * model.omega))
+    length = _oscillator_length(model)
     grid = RadialGrid(1.0e-3 * length, 8.0 * length, 400)
     beta = 1.0 / model.omega
     r = grid.values
@@ -279,7 +287,7 @@ def _suite_transfer(model) -> list:
 
 
 def _suite_semigroup(model) -> list:
-    length = math.sqrt(model.consts.hbar / (model.consts.mass * model.omega))
+    length = _oscillator_length(model)
     grid = RadialGrid(1.0e-4 * length, 12.0 * length, 2000)
     records = []
     b = 0.5 / model.omega
@@ -307,10 +315,9 @@ def _suite_semigroup(model) -> list:
 def _suite_normalization(model) -> list:
     from scipy.integrate import quad
     records = []
-    hbar = model.consts.hbar
     pairs = [((0, 0), (0, 0)), ((1, 0), (1, 0)), ((0, 1), (0, 1)),
              ((2, 1), (2, 1)), ((0, 0), (1, 0)), ((0, 1), (2, 1))]
-    upper = 14.0 * math.sqrt(hbar / (model.consts.mass * model.omega))
+    upper = 14.0 * _oscillator_length(model)
     for (n1, m1), (n2, m2) in pairs:
         q1, q2 = QuantumNumbers(n1, m1), QuantumNumbers(n2, m2)
         val, _ = quad(lambda r: radial_wavefunction(model, q1, r)

@@ -45,8 +45,7 @@ __all__ = [
     "RadialGrid", "CurvatureTermMode", "InnerBoundary", "TridiagonalMatrix",
     "LevelComparison", "SpectrumMatchReport", "TransferMatrixResult",
     "radial_hamiltonian_matrix", "eigen_lowest", "podolsky_index",
-    "spectrum_match_report", "short_time_bfI", "recombination_ratio",
-    "transfer_matrix_kernel",
+    "spectrum_match_report", "recombination_ratio", "transfer_matrix_kernel",
 ]
 
 
@@ -70,7 +69,6 @@ class TridiagonalMatrix:
 
     diagonal: np.ndarray
     offdiagonal: np.ndarray
-    interior_r: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -158,7 +156,7 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
         p = _regular_exponent(disc, m, mode)
         diag[0] -= (kin / (h * h)) * (grid.r_min / r[0]) ** p
     off = np.full(len(r) - 1, -kin / (h * h))
-    return TridiagonalMatrix(diagonal=diag, offdiagonal=off, interior_r=r)
+    return TridiagonalMatrix(diagonal=diag, offdiagonal=off)
 
 
 # dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
@@ -382,50 +380,12 @@ def spectrum_match_report(model: OscillatorModel, m: int,
     return SpectrumMatchReport(m=m, mode=mode, mode_gap=gap, levels=levels)
 
 
-def _short_time_angular(geom: ConeGeometry, consts: PhysicalConstants,
-                        m: int, r_hat: float, eps: float):
-    # w = M r_hat^2/(hbar eps) and the bounded factor sigma ive(|m|, sigma^2 w)
-    r_hat = float(r_hat)
-    eps = float(eps)
-    if not math.isfinite(r_hat) or r_hat <= 0.0:
-        raise ValueError(f"r_hat must be a finite real > 0, got {r_hat!r}")
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"eps must be a finite real > 0, got {eps!r}")
-    s = geom.sigma
-    w = consts.mass * r_hat * r_hat / (consts.hbar * eps)
-    return w, s * float(ive(abs(m), s * s * w))
-
-
-def short_time_bfI(geom: ConeGeometry, consts: PhysicalConstants, m: int,
-                   r_hat: float, eps: float) -> float:
-    """Short-time angular factor of the sliced cone path integral,
-
-        sigma * exp{(M/(hbar eps)) (1 - sigma^2) r_hat^2}
-              * I_m(M sigma^2 r_hat^2 / (hbar eps)),
-
-    in Euclidean time.  Reduces to the plain I_m at sigma = 1.  Internally
-    the growing exponential and the scaled Bessel are combined as
-    sigma * e^{w} * ive(m, sigma^2 w) with w = M r_hat^2/(hbar eps), so the
-    only overflow possible is in the genuinely huge final value.
-    """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    w, bounded = _short_time_angular(geom, consts, m, r_hat, eps)
-    try:
-        growth = math.exp(w)
-    except OverflowError:
-        raise OverflowError(
-            f"short-time factor ~ e^{w:.3g} overflows a double; "
-            "use recombination_ratio or smaller M r_hat^2/(hbar eps)"
-        ) from None
-    # the growth factor last, so sigma > 1 cannot overflow a finite value
-    return bounded * growth
-
-
 def recombination_ratio(geom: ConeGeometry, consts: PhysicalConstants, m: int,
                         r_hat: float, eps: float) -> float:
-    """Ratio of the short-time angular factor to its recombined form
-    exp{-V_eff(r_hat) eps/hbar} I_{m/sigma}(M r_hat^2/(hbar eps)).
+    """Ratio of the Euclidean short-time angular factor of the sliced cone
+    path integral, sigma e^{(1 - sigma^2) w} I_m(sigma^2 w) with
+    w = M r_hat^2/(hbar eps), to its recombined form
+    exp{-V_eff(r_hat) eps/hbar} I_{m/sigma}(w).
 
     Tends to 1 as eps -> 0 with |ratio - 1| = O(eps^2); identically 1 in flat
     space.  The e^{w} growth cancels between numerator and denominator, so
@@ -436,13 +396,19 @@ def recombination_ratio(geom: ConeGeometry, consts: PhysicalConstants, m: int,
             "recombination for m = 0 on a sigma < 1 cone corresponds to an "
             "imaginary free-cone index; pick m != 0 or sigma >= 1"
         )
-    w, numer = _short_time_angular(geom, consts, m, r_hat, eps)
+    r_hat = float(r_hat)
+    eps = float(eps)
+    if not math.isfinite(r_hat) or r_hat <= 0.0:
+        raise ValueError(f"r_hat must be a finite real > 0, got {r_hat!r}")
+    if not math.isfinite(eps) or eps <= 0.0:
+        raise ValueError(f"eps must be a finite real > 0, got {eps!r}")
     s = geom.sigma
+    w = consts.mass * r_hat * r_hat / (consts.hbar * eps)
+    numer = s * float(ive(abs(m), s * s * w))
     if s == 1.0:
         return 1.0
     v_eff = effective_potential(geom, consts, r_hat)
-    denom = math.exp(-v_eff * float(eps) / consts.hbar) \
-        * float(ive(abs(m) / s, w))
+    denom = math.exp(-v_eff * eps / consts.hbar) * float(ive(abs(m) / s, w))
     return numer / denom
 
 

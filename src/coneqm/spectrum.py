@@ -97,24 +97,10 @@ def _normalization_log(model: OscillatorModel, n: int, nu: float) -> float:
 
 
 def normalization_log(model: OscillatorModel, qn: QuantumNumbers) -> float:
-    """ln N_nm, always finite; exponentiate only when safe."""
+    """ln N_nm, the log of N_nm = (1/Gamma(nu+1)) sqrt(Gamma(n+nu+1) / (pi n!))
+    (M omega/hbar)^{(nu+1)/2}; always finite, where N_nm itself can
+    overflow a double."""
     return _normalization_log(model, qn.n, model.nu(qn.m))
-
-
-def normalization_constant(model: OscillatorModel, qn: QuantumNumbers) -> float:
-    """N_nm = (1/Gamma(nu+1)) sqrt(Gamma(n+nu+1) / (pi n!)) (M omega/hbar)^{(nu+1)/2}.
-
-    Computed in log space; raises OverflowError for extreme (n, nu) with the
-    log value still available via ``normalization_log``.
-    """
-    ln = normalization_log(model, qn)
-    try:
-        return math.exp(ln)
-    except OverflowError:
-        raise OverflowError(
-            f"N_nm overflows a double (ln N = {ln:.6g}); "
-            "use normalization_log instead"
-        ) from None
 
 
 def radial_wavefunctions(model: OscillatorModel, m: int, n_max: int,

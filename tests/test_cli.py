@@ -387,6 +387,22 @@ def test_verify_semigroup_verdict_is_independent_of_units(capsys):
                 assert r["actual"] == pytest.approx(n["actual"], abs=1e-14)
 
 
+def test_verify_verdicts_are_independent_of_units(capsys):
+    # every suite works in units of the oscillator length and of 1/omega, so
+    # a change of units moves no verdict and no case string
+    def records(*flags):
+        code, out, _ = run(capsys, "verify", *flags)
+        recs = json.loads(out)["records"]
+        assert code == (0 if all(r["pass"] for r in recs) else 1)
+        return [(r["suite"], r["case"], r["pass"]) for r in recs]
+    natural = records()
+    assert {suite for suite, _, _ in natural} == {
+        "spectrum", "recombination", "transfer", "semigroup", "normalization"}
+    for flags in (("--omega", "4"), ("--omega", "10", "--mass", "0.1"),
+                  ("--mass", "10", "--hbar", "0.1")):
+        assert records(*flags) == natural, flags
+
+
 def test_main_does_not_hide_zero_division(monkeypatch):
     from coneqm import cli
 
@@ -432,6 +448,18 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("n,m,nu,energy")
+
+
+@pytest.mark.parametrize("where", ["missing/out.csv", "."])
+def test_output_unwritable_exit_2(tmp_path, capsys, where):
+    # a directory that does not exist, and a path that is a directory
+    target = tmp_path / where
+    code, out, err = run(capsys, "convert", "--sigma", "0.5",
+                         "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"coneqm: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_outputs_are_byte_identical_across_runs(capsys):

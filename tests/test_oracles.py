@@ -20,8 +20,8 @@ from coneqm.geometry import (ConeGeometry, ImaginaryIndexError,
 from coneqm.grids import RadialGrid
 from coneqm.oracles import (CurvatureTermMode, InnerBoundary, eigen_lowest,
                             podolsky_index, radial_hamiltonian_matrix,
-                            recombination_ratio, short_time_bfI,
-                            spectrum_match_report, transfer_matrix_kernel)
+                            recombination_ratio, spectrum_match_report,
+                            transfer_matrix_kernel)
 from coneqm.propagator import radial_kernel_closed
 from coneqm.spectrum import OscillatorModel, QuantumNumbers, energy
 
@@ -103,8 +103,7 @@ def test_modes_coincide_at_sigma_one():
 def test_eigen_2x2_analytic():
     from coneqm.oracles import TridiagonalMatrix
     mat = TridiagonalMatrix(diagonal=np.array([2.0, 2.0]),
-                            offdiagonal=np.array([-1.0]),
-                            interior_r=np.array([1.0, 2.0]))
+                            offdiagonal=np.array([-1.0]))
     vals = eigen_lowest(mat, 2)
     assert vals[0] == pytest.approx(1.0, rel=1e-12)
     assert vals[1] == pytest.approx(3.0, rel=1e-12)
@@ -115,8 +114,8 @@ def test_eigen_2x2_analytic():
 def _tridiagonal(d, e):
     from coneqm.oracles import TridiagonalMatrix
     d = np.asarray(d, dtype=float)
-    return TridiagonalMatrix(diagonal=d, offdiagonal=np.asarray(e, dtype=float),
-                             interior_r=np.arange(1.0, len(d) + 1.0))
+    return TridiagonalMatrix(diagonal=d,
+                             offdiagonal=np.asarray(e, dtype=float))
 
 
 def _parity_cases():
@@ -562,41 +561,82 @@ def test_anticone_branch_end_to_end():
 # ---------------------------------------------------------- short-time bfI
 
 
+def _short_time_factor(res, model, i, j):
+    # bfI = sigma e^{(1-sigma^2) w} I_m(sigma^2 w), w = M r_i r_j/(hbar eps),
+    # read off the N = 1 matrix
+    #   K_1 = (M/hbar eps) exp{-(M/2 hbar eps)(r_i^2+r_j^2)
+    #                          - V(r_i) eps/hbar} bfI
+    # by dividing out the prefactor, the Gaussian and the potential factor
+    from coneqm.spectrum import potential
+    M, hbar, eps = model.consts.mass, model.consts.hbar, res.eps
+    r = res.grid.values
+    gauss = -(M / (2.0 * hbar * eps)) * (r[i] ** 2 + r[j] ** 2) \
+        - potential(model, r[i]) * eps / hbar
+    return res.values[i, j] / ((M / (hbar * eps)) * math.exp(gauss))
+
+
 def test_bfI_reduces_to_plain_bessel_at_sigma_one():
+    # sigma = 1: the short-time factor of K_1 is the plain I_m(w)
     from scipy.special import iv
-    g = ConeGeometry(1.0)
-    for mm, r_hat, eps in [(0, 1.0, 0.1), (2, 0.7, 0.05)]:
-        w = r_hat ** 2 / eps
-        assert short_time_bfI(g, NAT, mm, r_hat, eps) == pytest.approx(
-            float(iv(mm, w)), rel=1e-12)
+    consts = PhysicalConstants(mass=1.5, hbar=0.8)
+    flat = model(sigma=1.0, kappa=0.5, consts=consts)
+    grid = RadialGrid(0.4, 2.0, 16)
+    r = grid.values
+    for mm, eps in [(0, 0.1), (2, 0.05)]:
+        res = transfer_matrix_kernel(flat, mm, grid, eps, 1)
+        for i, j in [(2, 2), (1, 6), (15, 3)]:
+            w = consts.mass * r[i] * r[j] / (consts.hbar * eps)
+            assert _short_time_factor(res, flat, i, j) == pytest.approx(
+                float(iv(mm, w)), rel=1e-12)
 
 
 def test_bfI_cone_value():
     # sigma=0.5, m=0, r_hat=1, eps=0.1: sigma e^{+(1-sigma^2) w} I_0(sigma^2 w)
-    # with w = 10, i.e. 0.5 e^{7.5} I_0(2.5); frozen 30-digit oracle value
-    val = short_time_bfI(ConeGeometry(0.5), NAT, 0, 1.0, 0.1)
-    assert val == pytest.approx(2974.0843545902264, rel=1e-12)
+    # with w = 10, i.e. 0.5 e^{7.5} I_0(2.5); frozen 30-digit oracle value,
+    # read off the N = 1 matrix at r_i = r_j = r_min = 1
+    m = model(sigma=0.5, kappa=1.0)
+    res = transfer_matrix_kernel(m, 0, RadialGrid(1.0, 2.5, 16), 0.1, 1)
+    assert _short_time_factor(res, m, 0, 0) == pytest.approx(
+        2974.0843545902264, rel=1e-12)
 
 
-def test_bfI_overflow_is_explicit():
-    with pytest.raises(OverflowError):
-        short_time_bfI(ConeGeometry(0.5), NAT, 0, 10.0, 0.0001)
-    # just below the exp limit: sigma e^w alone overflows at sigma = 2, the
-    # factor itself does not
-    from scipy.special import ive
-    eps = 1.0 / 709.5
-    w = 1.0 / eps
-    val = short_time_bfI(ConeGeometry(2.0), NAT, 0, 1.0, eps)
-    assert math.log(val) == pytest.approx(
-        w + math.log(2.0 * float(ive(0, 4.0 * w))), rel=1e-14)
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_bfI_finite_in_short_time_matrix(sigma):
+    # at r_hat = 10, eps = 1e-4 (w = 1e6) the factor alone is about e^{1e6},
+    # far past a double; the N = 1 matrix folds its growth into the Gaussian
+    # and stays finite.  Its diagonal entry's log against
+    # the paper's formula in 30-digit arithmetic:
+    # ln(M/hbar eps) - V eps/hbar - M r^2/(hbar eps) + ln sigma
+    #   + (1 - sigma^2) w + ln I_0(sigma^2 w)
+    import mpmath
+    m = model(sigma=sigma, kappa=1.0)
+    eps = 1e-4
+    res = transfer_matrix_kernel(m, 0, RadialGrid(10.0, 10.3, 16), eps, 1)
+    assert np.all(np.isfinite(res.values)) and np.all(res.values > 0.0)
+    from coneqm.spectrum import potential
+    with mpmath.workdps(30):
+        r = mpmath.mpf(10)
+        e, s = mpmath.mpf(eps), mpmath.mpf(sigma)
+        w = r * r / e
+        ref = (mpmath.log(1 / e) - mpmath.mpf(potential(m, float(r))) * e
+               - w + mpmath.log(s) + (1 - s * s) * w
+               + mpmath.log(mpmath.besseli(0, s * s * w)))
+        assert math.log(res.values[0, 0]) == pytest.approx(float(ref),
+                                                           abs=1e-12)
 
 
 def test_bfI_domain():
-    g = ConeGeometry(0.5)
-    with pytest.raises(ValueError):
-        short_time_bfI(g, NAT, 0, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        short_time_bfI(g, NAT, 0, 1.0, 0.0)
+    # recombination_ratio checks the short-time factor's domain (r_hat > 0,
+    # eps > 0, both finite) after its m = 0, sigma < 1 guard and before its
+    # sigma = 1 early return
+    for g in (ConeGeometry(0.5), ConeGeometry(1.0)):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="r_hat must be"):
+                recombination_ratio(g, NAT, 1, bad, 0.1)
+            with pytest.raises(ValueError, match="eps must be"):
+                recombination_ratio(g, NAT, 1, 1.0, bad)
+    with pytest.raises(ImaginaryIndexError):
+        recombination_ratio(ConeGeometry(0.5), NAT, 0, 0.0, 0.0)
 
 
 # ----------------------------------------------------------- recombination
@@ -643,16 +683,20 @@ def test_recombination_imaginary_index_guard():
 def test_transfer_single_slice_is_short_time_kernel():
     # N = 1 returns the short-time kernel itself:
     # (M/hbar eps) exp{-(M/2 hbar eps)(r_i^2+r_j^2) - V(r_i) eps/hbar} bfI
+    # with bfI = sigma e^{(1-sigma^2) w} I_m(sigma^2 w),
+    # w = M r_i r_j/(hbar eps)
+    from scipy.special import iv
     m = model(sigma=0.5, kappa=1.0)
     grid = RadialGrid(0.4, 3.0, 24)
     res = transfer_matrix_kernel(m, 1, grid, 0.05, 1)
     r = grid.values
     from coneqm.spectrum import potential
     i, j = 5, 17
-    r_hat = math.sqrt(r[i] * r[j])
+    w = r[i] * r[j] / 0.05
+    bfI = 0.5 * math.exp(0.75 * w) * float(iv(1, 0.25 * w))
     expect = (1.0 / 0.05) * math.exp(
         -(r[i] ** 2 + r[j] ** 2) / (2 * 0.05) - potential(m, r[i]) * 0.05) \
-        * short_time_bfI(m.geom, m.consts, 1, r_hat, 0.05)
+        * bfI
     assert res.values[i, j] == pytest.approx(expect, rel=1e-12)
 
 
@@ -809,7 +853,7 @@ def test_discretized_hamiltonian_annihilates_exact_states(n, mm):
         grid = RadialGrid(1e-3, 14.0, points)
         mat = radial_hamiltonian_matrix(m, mm, CurvatureTermMode.JENSEN_KOPPE,
                                         grid)
-        r = mat.interior_r
+        r = grid.values[1:-1]
         u = np.array([math.sqrt(rr) * radial_wavefunction(m, qn, rr)
                       for rr in r])
         hu = mat.diagonal * u

@@ -10,8 +10,7 @@ from scipy.integrate import quad
 
 from coneqm.geometry import ConeGeometry, PhysicalConstants
 from coneqm.spectrum import (OscillatorModel, QuantumNumbers, energy,
-                             enumerate_states, normalization_constant,
-                             normalization_log, potential,
+                             enumerate_states, normalization_log, potential,
                              radial_wavefunction, radial_wavefunctions,
                              wavefunction)
 
@@ -79,31 +78,42 @@ def test_energy_scales_with_hbar_omega():
     assert energy(m, qn) == pytest.approx(3.0 * 0.7 * (2 + 1 + nu), rel=1e-14)
 
 
-def test_normalization_constant_flat_ground():
-    val = normalization_constant(model(sigma=1.0, kappa=0.0),
-                                 QuantumNumbers(0, 0))
+def test_normalization_log_flat_ground():
+    val = math.exp(normalization_log(model(sigma=1.0, kappa=0.0),
+                                     QuantumNumbers(0, 0)))
     assert val == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
 
 
-def test_normalization_constant_cone_ground():
+def test_normalization_log_cone_ground():
     # N_00 = sqrt(1/(pi Gamma(1.5))); frozen 30-digit oracle value
-    val = normalization_constant(model(sigma=0.5, kappa=1.0),
-                                 QuantumNumbers(0, 0))
+    val = math.exp(normalization_log(model(sigma=0.5, kappa=1.0),
+                                     QuantumNumbers(0, 0)))
     assert val == pytest.approx(0.5993114751532237, rel=1e-13)
 
 
 def test_normalization_log_and_overflow():
-    m = model()
+    # ln N_nm against the closed form
+    # (1/Gamma(nu+1)) sqrt(Gamma(n+nu+1) / (pi n!)) (M omega/hbar)^{(nu+1)/2}
+    # in 30-digit arithmetic
+    m = model(sigma=0.8, kappa=2.0, omega=0.7,
+              consts=PhysicalConstants(mass=2.0, hbar=3.0))
     qn = QuantumNumbers(3, 2)
-    assert normalization_constant(m, qn) == pytest.approx(
-        math.exp(normalization_log(m, qn)), rel=1e-15)
-    # extreme (M omega/hbar)^{(nu+1)/2} overflows the constant while the log
-    # value stays available
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(m.nu(2))
+        ref = mpmath.log(mpmath.sqrt(mpmath.gamma(3 + nu + 1)
+                                     / (mpmath.pi * mpmath.factorial(3)))
+                         * (mpmath.mpf(2.0) * mpmath.mpf(0.7)
+                            / mpmath.mpf(3.0)) ** ((nu + 1) / 2)
+                         / mpmath.gamma(nu + 1))
+    assert normalization_log(m, qn) == pytest.approx(float(ref), abs=1e-14)
+    # extreme (M omega/hbar)^{(nu+1)/2}: N_nm overflows a double while its
+    # log stays finite
     extreme = model(sigma=0.5, kappa=1.0, omega=1e300)
     qn_big = QuantumNumbers(0, 5)
+    ln = normalization_log(extreme, qn_big)
+    assert math.isfinite(ln)
     with pytest.raises(OverflowError):
-        normalization_constant(extreme, qn_big)
-    assert math.isfinite(normalization_log(extreme, qn_big))
+        math.exp(ln)
 
 
 def _norm_integral(m, qn, upper=16.0):
@@ -140,7 +150,8 @@ def test_wavefunction_at_origin():
     marginal = model(sigma=0.5, kappa=0.75)   # nu(0) = 0
     val = wavefunction(marginal, QuantumNumbers(0, 0), 0.0, 0.0)
     assert val.real == pytest.approx(
-        normalization_constant(marginal, QuantumNumbers(0, 0)), rel=1e-14)
+        math.exp(normalization_log(marginal, QuantumNumbers(0, 0))),
+        rel=1e-14)
 
 
 def test_wavefunction_flat_ground_is_gaussian():
@@ -270,7 +281,7 @@ def test_wavefunctions_list_and_origin():
     marginal = model(sigma=0.5, kappa=0.75)                     # nu(0) = 0
     for n, v in enumerate(radial_wavefunctions(marginal, 0, 3, 0.0)):
         assert v == pytest.approx(
-            normalization_constant(marginal, QuantumNumbers(n, 0)),
+            math.exp(normalization_log(marginal, QuantumNumbers(n, 0))),
             rel=1e-14)
     # far past every turning point, and at an x = a r^2 that overflows
     assert radial_wavefunctions(m, 1, 3, 1e200) == [0.0] * 4
