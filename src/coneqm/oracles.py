@@ -149,9 +149,10 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
     M = model.consts.mass
     kin = model.consts.hbar ** 2 / (2.0 * M)
     disc = _quarter_plus_c(model, m, mode)
+    wr = model.omega * r
     diag = (2.0 * kin / (h * h)
             + kin * (disc - 0.25) / (r * r)
-            + 0.5 * M * model.omega ** 2 * r * r)
+            + 0.5 * M * wr * wr)
     if boundary is InnerBoundary.FROBENIUS:
         p = _regular_exponent(disc, m, mode)
         diag[0] -= (kin / (h * h)) * (grid.r_min / r[0]) ** p
@@ -334,17 +335,24 @@ def spectrum_match_report(model: OscillatorModel, m: int,
     Jensen-Koppe / Podolsky gap.
 
     The four matrices (coarse and refined, each also with r_min halved) are
-    built in the calling thread; their four eigen-solves run at the same
-    time on a pool of four threads, and an error in one of them is raised
-    here as it is.
+    built in the calling thread and solved in units of hbar omega, so that
+    the bisection's squares of the off-diagonal stay in the double range at
+    any omega; their four eigen-solves run at the same time on a pool of
+    four threads, and an error in one of them is raised here as it is.
     """
+    hbar_omega = model.consts.hbar * model.omega
     half_grid = RadialGrid(0.5 * grid.r_min, grid.r_max, grid.points)
-    matrices = [radial_hamiltonian_matrix(model, m, mode, g) for g in
-                (grid, grid.refined(), half_grid, half_grid.refined())]
+    matrices = []
+    for g in (grid, grid.refined(), half_grid, half_grid.refined()):
+        mat = radial_hamiltonian_matrix(model, m, mode, g)
+        matrices.append(TridiagonalMatrix(
+            diagonal=mat.diagonal / hbar_omega,
+            offdiagonal=mat.offdiagonal / hbar_omega))
     # eigen_lowest is looked up in the module at call time, as it was when
     # called directly
     solves = [_SOLVES.submit(eigen_lowest, mat, k) for mat in matrices]
-    coarse, fine, half_coarse, half_fine = [s.result() for s in solves]
+    coarse, fine, half_coarse, half_fine = [
+        s.result() * hbar_omega for s in solves]
     e_rich, disc_est = _richardson(coarse, fine)
     e_rich_half, _ = _richardson(half_coarse, half_fine)
 
@@ -359,7 +367,6 @@ def spectrum_match_report(model: OscillatorModel, m: int,
         wall_factor = math.log(2.0 / grid.r_min) / math.log(2.0)
     wall_est = np.abs(e_rich - e_rich_half) * wall_factor
 
-    hbar_omega = model.consts.hbar * model.omega
     gap = hbar_omega * abs(nu_p - nu)
     levels = []
     for n in range(k):

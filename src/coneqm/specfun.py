@@ -11,13 +11,24 @@ Gaussian, so working with the scaled value avoids overflow entirely.
 
 Evaluation strategy for ``bessel_i_scaled``:
 
-* x <= max(12, nu): ascending power series (all terms positive, no
-  cancellation for any nu >= 0), folded with e^{-x} in log space.
-* x >= 30 when it converges: large-argument (Hankel) expansion.
+* x <= 30: ascending power series (all terms positive, no cancellation
+  for any nu >= 0), folded with e^{-x} in log space.
+* 30 < x <= 2 nu: the same series, where its leading term
+  (x/2)^nu e^{-x} / Gamma(nu+1) is a normal double.  Where it is not
+  (nu >~ 700), the series would return a silent 0 for a value that may
+  still be representable, so these points go on to the branches below.
+* otherwise, where it converges: large-argument (Hankel) expansion.
 * otherwise: continued fractions -- CF1 (Thompson-Barnett) for the
   logarithmic derivative I'_nu/I_nu, downward recurrence to the fractional
   order mu in [-1/2, 1/2), CF2 (Steed) for the scaled K_mu and K_{mu+1},
   and the Wronskian I_mu K_{mu+1} + I_{mu+1} K_mu = 1/x for normalization.
+  x > 30 here, inside the x >= 2 the continued fractions need.  When the
+  recurrence overflows, I_mu/I_nu > 1e598 and the value, below 1e-598, is
+  returned as 0.
+
+Below x = 30 the series is kept even where its leading term is not normal:
+all later terms then add less than a factor e^{x^2 / (4 (nu + 1))} < 2,
+so the value itself is below the normal range.
 
 ``bessel_i_scaled_array`` evaluates one order over a numpy array of x, a
 branch at a time, with the same branch rule, constants and stopping tests.
@@ -31,13 +42,16 @@ All functions are pure; there is no shared mutable state.
 """
 
 import math
+import sys
 
 import numpy as np
 
-# branch rule of both routes: series for x <= max(_SERIES_X, nu), else the
-# Hankel expansion for x >= _HANKEL_X where it converges, else the CFs
-_SERIES_X = 12.0
-_HANKEL_X = 30.0
+# branch rule of both routes: series for x <= max(_SERIES_X,
+# _SERIES_PER_ORDER * nu), above _SERIES_X only where its leading term is at
+# least _NORMAL_MIN; else the Hankel expansion where it converges, else the CFs
+_SERIES_X = 30.0
+_SERIES_PER_ORDER = 2.0
+_NORMAL_MIN = sys.float_info.min
 _EPS = 1.0e-16
 _FPMIN = 1.0e-290
 _MAXIT = 200000
@@ -54,15 +68,15 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _series_scaled(nu: float, x: float) -> float:
+def _series_scaled(nu: float, x: float, floor: float):
     # e^{-x} sum_k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)); terms all positive.
+    # None when the leading term is below floor.
     log_half_x = math.log(0.5 * x) if x >= _HALVES_EXACTLY \
         else math.log(x) - _LN2
     lead = nu * log_half_x - math.lgamma(nu + 1.0) - x
     term = math.exp(lead)
-    if term == 0.0:
-        # leading term already below the double range; the true value is too
-        return 0.0
+    if term < floor:
+        return None
     total = term
     q = 0.25 * x * x
     k = 0
@@ -78,7 +92,7 @@ def _series_scaled(nu: float, x: float) -> float:
 def _asymptotic_scaled(nu: float, x: float):
     # Hankel expansion of e^{-x} I_nu(x); usable only when the alternating
     # series reaches ~1e-17 relative before its terms start growing.  Misses
-    # the e^{-2x} reflection term, so callers restrict it to x >= 30.
+    # the e^{-2x} reflection term, so callers restrict it to x > _SERIES_X.
     mu4 = 4.0 * nu * nu
     term = 1.0
     total = 1.0
@@ -131,6 +145,9 @@ def _cf_scaled(nu: float, x: float) -> float:
         rip = fact * ritemp + ril
         ril = ritemp
     f = rip / ril
+    if not math.isfinite(f):
+        # the recurrence overflowed: I_mu/I_nu > 1e598
+        return 0.0
 
     # CF2 for the scaled K_mu (Steed's algorithm).
     b = 2.0 * (1.0 + x)
@@ -179,12 +196,15 @@ def bessel_i_scaled(nu: float, x: float) -> float:
         raise ValueError(f"argument must be a finite real >= 0, got {x!r}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if x <= max(_SERIES_X, nu):
-        return _series_scaled(nu, x)
-    if x >= _HANKEL_X:
-        val = _asymptotic_scaled(nu, x)
+    if x <= _SERIES_X:
+        return _series_scaled(nu, x, 0.0)
+    if x <= _SERIES_PER_ORDER * nu:
+        val = _series_scaled(nu, x, _NORMAL_MIN)
         if val is not None:
             return val
+    val = _asymptotic_scaled(nu, x)
+    if val is not None:
+        return val
     return _cf_scaled(nu, x)
 
 
@@ -204,12 +224,14 @@ def exp_each(v: np.ndarray) -> np.ndarray:
 
 
 def _series_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
+    # NaN where the scalar _series_scaled returns None
     log_half_x = np.fromiter(
         (math.log(0.5 * v) if v >= _HALVES_EXACTLY else math.log(v) - _LN2
          for v in x.tolist()), float, x.size)
     term = exp_each(nu * log_half_x - math.lgamma(nu + 1.0) - x)
+    refused = (x > _SERIES_X) & (term < _NORMAL_MIN)
     # a leading term of 0 is never live, so its total stays 0
-    live = term != 0.0
+    live = (term != 0.0) & ~refused
     total = term.copy()
     q = 0.25 * x * x
     k = 0
@@ -218,7 +240,7 @@ def _series_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
         term *= q / (k * (k + nu))
         total = np.where(live, total + term, total)
         live &= ~(term <= 1.0e-17 * total)
-    return total
+    return np.where(refused, math.nan, total)
 
 
 def _asymptotic_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
@@ -272,12 +294,14 @@ def _cf_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
     ril = np.full_like(x, _FPMIN)
     rip = h * ril
     fact = nu * xi
-    for _ in range(nl):
-        ritemp = fact * ril + rip
-        fact -= xi
-        rip = fact * ritemp + ril
-        ril = ritemp
-    f = rip / ril
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(nl):
+            ritemp = fact * ril + rip
+            fact -= xi
+            rip = fact * ritemp + ril
+            ril = ritemp
+        f = rip / ril
+    overflowed = ~np.isfinite(f)
 
     # CF2 for the scaled K_mu (Steed's algorithm); a and cc are the same
     # for every element.
@@ -313,7 +337,7 @@ def _cf_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
     kmu = np.sqrt(math.pi / (2.0 * x)) / s              # e^{x} K_mu
     kmu1 = kmu * (mu + x + 0.5 - h2) * xi               # e^{x} K_{mu+1}
     imu = xi / (kmu1 + (f - mu * xi) * kmu)             # e^{-x} I_mu
-    return imu * (_FPMIN / ril)
+    return np.where(overflowed, 0.0, imu * (_FPMIN / ril))
 
 
 def bessel_i_scaled_array(nu: float, x) -> np.ndarray:
@@ -333,13 +357,12 @@ def bessel_i_scaled_array(nu: float, x) -> np.ndarray:
         raise ValueError(f"argument must be a finite real >= 0, "
                          f"got {float(x[bad][0])!r}")
     flat = x.ravel()
-    out = np.full_like(flat, 1.0 if nu == 0.0 else 0.0)   # x == 0
-    series = (flat > 0.0) & (flat <= max(_SERIES_X, nu))
+    out = np.full_like(flat, math.nan)
+    out[flat == 0.0] = 1.0 if nu == 0.0 else 0.0
+    series = (flat > 0.0) & (flat <= max(_SERIES_X, _SERIES_PER_ORDER * nu))
     out[series] = _series_scaled_array(nu, flat[series])
-    rest = np.flatnonzero((flat > 0.0) & ~series)
-    out[rest] = math.nan
-    large = rest[flat[rest] >= _HANKEL_X]
-    out[large] = _asymptotic_scaled_array(nu, flat[large])
+    rest = np.flatnonzero(np.isnan(out))
+    out[rest] = _asymptotic_scaled_array(nu, flat[rest])
     cf = rest[np.isnan(out[rest])]
     if cf.size:
         out[cf] = _cf_scaled_array(nu, flat[cf])

@@ -79,7 +79,8 @@ def potential(model: OscillatorModel, r: float) -> float:
     M = model.consts.mass
     hbar = model.consts.hbar
     s = model.geom.sigma
-    return 0.5 * M * model.omega ** 2 * r * r \
+    wr = model.omega * r
+    return 0.5 * M * wr * wr \
         + model.kappa * hbar * hbar / (8.0 * s * s * M * r * r)
 
 

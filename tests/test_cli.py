@@ -334,7 +334,9 @@ def test_kernel_huge_m_max_stops_at_certified_term(capsys):
 def test_kernel_bessel_non_convergence_exit_3(capsys, monkeypatch):
     from coneqm import specfun
     monkeypatch.setattr(specfun, "_MAXIT", 3)
-    code, out, err = run(capsys, "kernel", "--r1", "4", "--r2", "4",
+    # z = 36 / sinh(1) = 30.6 is past the series' x <= 30, so the
+    # continued fraction runs for the orders where Hankel gives up
+    code, out, err = run(capsys, "kernel", "--r1", "6", "--r2", "6",
                          "--beta", "1", "--m-max", "5")
     assert code == 3
     assert out == ""
@@ -360,10 +362,12 @@ def test_kernel_zero_tail_tol_is_accepted(capsys):
 
 
 def test_verify_semigroup_bessel_non_convergence_exit_3(capsys, monkeypatch):
-    # the semigroup suite reaches specfun through the array route
+    # the semigroup suite reaches specfun through the array route; at
+    # sigma = 0.25 its grid reaches the continued fraction's x > 30
     from coneqm import specfun
     monkeypatch.setattr(specfun, "_MAXIT", 3)
-    code, out, err = run(capsys, "verify", "--suite", "semigroup")
+    code, out, err = run(capsys, "verify", "--suite", "semigroup",
+                         "--sigma", "0.25")
     assert code == 3
     assert out == ""
     assert "failed to converge" in err
@@ -401,6 +405,11 @@ def test_verify_verdicts_are_independent_of_units(capsys):
     for flags in (("--omega", "4"), ("--omega", "10", "--mass", "0.1"),
                   ("--mass", "10", "--hbar", "0.1")):
         assert records(*flags) == natural, flags
+    # at omega = 1e-200 the harmonic term is formed as (omega r)^2 and the
+    # levels are solved in units of hbar omega, so nothing underflows
+    for suite in ("transfer", "spectrum"):
+        assert records("--suite", suite, "--omega", "1e-200") == [
+            rec for rec in natural if rec[0] == suite], suite
 
 
 def test_main_does_not_hide_zero_division(monkeypatch):

@@ -401,6 +401,22 @@ def test_spectrum_match_sigma_one_modes_identical():
         assert rep.all_match
 
 
+def test_spectrum_match_report_scales_with_hbar_omega():
+    # at omega = 1e-200 the off-diagonal is ~1e-196 and the bisection's
+    # squares of it underflow, unless the levels are solved in units of
+    # hbar omega; lengths scale by the oscillator length 1e100
+    grid = RadialGrid(1e-3, 12.0, 600)
+    natural = spectrum_match_report(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
+                                    grid, 3)
+    tiny = spectrum_match_report(
+        model(omega=1e-200), 1, CurvatureTermMode.JENSEN_KOPPE,
+        RadialGrid(1e97, 1.2e101, 600), 3)
+    for a, b in zip(natural.levels, tiny.levels):
+        assert b.verdict == a.verdict
+        assert b.numeric / 1e-200 == pytest.approx(a.numeric, rel=1e-10)
+        assert b.est_error / 1e-200 == pytest.approx(a.est_error, rel=1e-3)
+
+
 def _report_bits(rep):
     return [(lv.n, lv.numeric.hex(), lv.est_error.hex(), lv.verdict)
             for lv in rep.levels]

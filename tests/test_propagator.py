@@ -55,6 +55,28 @@ def test_free_flat_limit():
     assert val == pytest.approx(0.46575960759364043, rel=1e-8)
 
 
+@pytest.mark.parametrize("beta", [1e-4, 1e-6, 1e-8])
+def test_closed_kernel_small_beta_matches_mpmath(beta):
+    # r1 near r2 at small beta: z and Q are both near r1 r2 / beta, and the
+    # exponent z - Q must not be formed as their difference
+    m = model()
+    nu = m.nu(1)
+    rng = np.random.default_rng(17)
+    r1 = rng.uniform(0.5, 3.0, 30)
+    r2 = r1 * (1.0 + rng.choice([-1e-3, 1e-3], 30))
+    worst = 0.0
+    with mpmath.workdps(50):
+        sh = mpmath.sinh(beta)
+        ch = mpmath.cosh(beta)
+        for a, b in zip(r1.tolist(), r2.tolist()):
+            ref = (mpmath.exp(-(mpmath.mpf(a) ** 2 + mpmath.mpf(b) ** 2)
+                              * ch / (2 * sh))
+                   * mpmath.besseli(nu, mpmath.mpf(a) * b / sh) / sh)
+            val = radial_kernel_closed(m, 1, a, b, beta)
+            worst = max(worst, float(abs(val / ref - 1)))
+    assert worst <= 1e-12
+
+
 def test_closed_symmetry_exact():
     m = model()
     for mm in (0, 1, 3):

@@ -162,6 +162,44 @@ def test_bessel_domain_errors():
         bessel_i_scaled(math.nan, 1.0)
 
 
+def test_bessel_series_region_matches_mpmath():
+    # the points that moved from Hankel or the continued fraction to the
+    # series: max(12, nu) < x <= max(30, 2 nu), here with nu <= 64
+    rng = np.random.default_rng(13)
+    nu = rng.uniform(0.0, 64.0, 400)
+    lo = np.maximum(12.0, nu)
+    x = lo + (np.maximum(30.0, 2.0 * nu) - lo) * rng.uniform(0.0, 1.0, 400)
+    with mpmath.workdps(40):
+        worst = max(abs(bessel_i_scaled(n, v) / mp_i_scaled(n, v) - 1.0)
+                    for n, v in zip(nu.tolist(), x.tolist()))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("nu, x", [(1100.0, 1100.0), (800.0, 1600.0),
+                                   (1000.0, 2000.0), (1500.0, 2900.0)])
+def test_bessel_large_order_is_not_a_silent_zero(nu, x):
+    # the series' leading term underflows here but the value does not, so
+    # the series must not be the branch that answers
+    with mpmath.workdps(40):
+        ref = mp_i_scaled(nu, x)
+    for val in (bessel_i_scaled(nu, x),
+                float(bessel_i_scaled_array(nu, [x])[0])):
+        assert math.isfinite(val) and val != 0.0
+        assert val == pytest.approx(ref, rel=1e-10)
+    assert_same_bits(nu, [x])
+
+
+@pytest.mark.parametrize("nu, x", [(1500.0, 100.0), (3000.0, 3001.0),
+                                   (10000.0, 20000.0)])
+def test_bessel_below_the_double_range_is_zero(nu, x):
+    # values below 1e-600, where the continued fraction's downward
+    # recurrence overflows: the result is an exact 0, not NaN
+    with mpmath.workdps(40):
+        assert mpmath.besseli(nu, x) * mpmath.exp(-x) < mpmath.mpf("1e-600")
+    assert bessel_i_scaled(nu, x) == 0.0
+    assert_same_bits(nu, [x, 0.5 * x, x])
+
+
 # ---------------------------------------------------- bessel_i_scaled_array
 # The scalar route is the reference: the array route must reproduce it bit
 # for bit, element by element.
@@ -190,11 +228,13 @@ def test_bessel_array_matches_scalar_bit_for_bit(nu, xs):
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 2.0615528128088303, 11.7,
-                                12.0, 29.5, 30.0, 45.5, 150.3, 200.0])
+                                12.0, 15.0, 29.5, 30.0, 45.5, 150.3, 200.0,
+                                700.0, 720.0])
 def test_bessel_array_branch_edges(nu):
     # zero, subnormals, the 0.5 x rounding edge, and each side of the
-    # branch edges x = 12, x = nu and x = 30
-    edges = [12.0, 30.0] + ([nu] if nu > 0.0 else [])
+    # branch edges x = 30 and x = 2 nu; at x = 2 nu the series' leading
+    # term is normal for nu = 700 and not for nu = 720
+    edges = [30.0] + ([2.0 * nu] if nu > 0.0 else [])
     x = [0.0, 5e-324, 1.5e-323, 1e-310, 2.0 ** -1021] + [
         v for e in edges
         for v in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
@@ -203,11 +243,12 @@ def test_bessel_array_branch_edges(nu):
 
 
 def test_bessel_array_hankel_fallback_to_cf():
-    # x >= 30 where the Hankel terms grow before converging: those elements
-    # take the continued fraction, beside elements where Hankel succeeds
-    for nu, xs in ((20.0, [30.0, 31.5, 60.0, 1000.0]),
-                   (50.0, [50.5, 80.0, 300.0, 5000.0]),
-                   (120.0, [121.0, 400.0, 1000.0, 9000.0])):
+    # x > max(30, 2 nu) where the Hankel terms grow before converging: those
+    # elements take the continued fraction, beside elements where Hankel
+    # succeeds
+    for nu, xs in ((20.0, [40.5, 45.0, 60.0, 1000.0]),
+                   (50.0, [100.5, 150.0, 300.0, 5000.0]),
+                   (120.0, [240.5, 400.0, 1000.0, 9000.0])):
         gave_up = [x for x in xs if specfun._asymptotic_scaled(nu, x) is None]
         assert 0 < len(gave_up) < len(xs)
         assert_same_bits(nu, xs)
@@ -226,9 +267,10 @@ def test_bessel_array_domain_errors_match_scalar(nu, x):
 
 def test_bessel_array_non_convergence_raises_bare_arithmetic_error(
         monkeypatch):
+    # x = 40 > max(30, 2 nu), where the Hankel terms grow: the CF runs
     monkeypatch.setattr(specfun, "_MAXIT", 3)
     with pytest.raises(ArithmeticError, match="failed to converge") as exc:
-        bessel_i_scaled_array(0.5, np.array([1.0, 20.0, 200.0]))
+        bessel_i_scaled_array(10.0, np.array([1.0, 40.0, 200.0]))
     assert type(exc.value) is ArithmeticError
 
 
