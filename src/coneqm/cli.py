@@ -294,13 +294,9 @@ def _suite_semigroup(model) -> list:
     for m in (0, 1):
         res = semigroup_defect(model, m, 0.7 * length, 1.3 * length,
                                b, b, grid)
-        # in units of the kernel scale M omega / hbar, so the verdict does
-        # not depend on the units
-        defect = res.defect * (model.consts.hbar
-                               / (model.consts.mass * model.omega))
         records.append(_record("semigroup", f"composition defect m={m}",
-                               0.0, defect, 1.0e-8,
-                               defect < 1.0e-8 and res.grid_adequate))
+                               0.0, res.defect, 1.0e-8,
+                               res.defect < 1.0e-8 and res.grid_adequate))
     for beta_w in (0.5, 1.0, 2.0):
         beta = beta_w / model.omega
         for m in (0, 1, 2):

@@ -19,7 +19,8 @@ ladder sum_n e^{-beta E_nm/hbar}.
 The full kernel is the partial-wave sum
 K = (1/2 pi) [R_0 + 2 sum_{m>=1} cos(m dtheta) R_m], reported together with a
 certified bound on the discarded tail.  The early stop of the sum and the
-tail bound use one remainder bound, ``_log_ratio_sum_bound``.
+tail bound use one remainder bound, ``_log_ratio_sum_bound``; at large
+Bessel argument the generating function caps the tail bound.
 """
 
 import math
@@ -289,14 +290,25 @@ def full_kernel(model: OscillatorModel, query: KernelQuery,
     if value is None:
         value = math.fsum(terms)
     # tail m > m_max from the last computed term R_j, whose bm is known only
-    # to a few ulps below the normal range; at z = 0 every R_{m>=1} is 0
+    # to a few ulps below the normal range; at z = 0 every R_{m>=1} is 0.
+    # At large z, cap it by sum_{m>=1} e^{-z} I_{nu(m)}(z) <= c: the orders
+    # sum to 1 over m in Z (DLMF 10.35), I_nu decreases in nu, and
+    # kappa >= 1 - sigma^2 gives nu(m) >= m / sigma.  So c = 1/2 for
+    # sigma <= 1; above, each run of ceil(sigma) orders lies above one
+    # integer order, so c = ceil(sigma).  The cap is formed from scale, not
+    # through exp, so it stays at most _SAFETY c pref / pi.
     tail = 0.0
     if z > 0.0:
         j = len(terms) - 1
         log_rj = math.log(pref) + expo \
             + math.log(_SAFETY * max(bm, _NORMAL_MIN))
-        tail = math.exp(log_rj + _log_ratio_sum_bound(
-            nu, model.nu(m_max + 1) - nu, m_max + 1 - j, z)) / math.pi
+        log_bound = log_rj + _log_ratio_sum_bound(
+            nu, model.nu(m_max + 1) - nu, m_max + 1 - j, z)
+        sigma = model.geom.sigma
+        c = 0.5 if sigma <= 1.0 else math.ceil(sigma)
+        log_cap = math.log(pref) + expo + math.log(_SAFETY * c)
+        tail = (_SAFETY * c * scale if log_bound >= log_cap
+                else math.exp(log_bound)) / math.pi
     return FullKernel(value=value / (2.0 * math.pi), tail_bound=tail,
                       m_max=m_max)
 
@@ -306,7 +318,12 @@ def semigroup_defect(model: OscillatorModel, m: int, r1: float, r2: float,
                      grid: RadialGrid) -> SemigroupResult:
     """Composition-rule defect
     | integral R_m(r2, s; beta2) R_m(s, r1; beta1) s ds  -  R_m(r2, r1; beta1 + beta2) |
-    by trapezoid quadrature on the grid (measure s ds).
+    by trapezoid quadrature on the grid (measure s ds), in units of the
+    kernel scale a = M omega / hbar.
+
+    Both kernels and the target are divided by a before they are
+    multiplied, and the measure is a s ds, so the product cannot underflow
+    for a small a; the defect therefore does not depend on the units.
 
     ``boundary_fraction`` reports the integrand mass sitting at the grid ends
     relative to its peak; a large value means the grid does not cover the
@@ -315,11 +332,12 @@ def semigroup_defect(model: OscillatorModel, m: int, r1: float, r2: float,
     """
     beta1 = _check_beta(beta1)
     beta2 = _check_beta(beta2)
+    a = model.consts.mass * model.omega / model.consts.hbar
     s = grid.values
-    f = radial_kernel_closed(model, m, r2, s, beta2) \
-        * radial_kernel_closed(model, m, s, r1, beta1) * s
+    f = (radial_kernel_closed(model, m, r2, s, beta2) / a) \
+        * (radial_kernel_closed(model, m, s, r1, beta1) / a) * (a * s)
     integral = math.fsum(grid.trapezoid_weights() * f)
-    target = radial_kernel_closed(model, m, r2, r1, beta1 + beta2)
+    target = radial_kernel_closed(model, m, r2, r1, beta1 + beta2) / a
     peak = f.max()
     boundary = max(f[0], f[-1]) / peak if peak > 0.0 else 0.0
     return SemigroupResult(

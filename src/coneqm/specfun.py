@@ -30,13 +30,15 @@ Below x = 30 the series is kept even where its leading term is not normal:
 all later terms then add less than a factor e^{x^2 / (4 (nu + 1))} < 2,
 so the value itself is below the normal range.
 
-``bessel_i_scaled_array`` evaluates one order over a numpy array of x, a
-branch at a time, with the same branch rule, constants and stopping tests.
-Each branch runs its scalar loop on the whole array under a mask of the
-elements still iterating, so each element equals ``bessel_i_scaled(nu, x_i)``
-bit for bit and the scalar route stays the reference.  It serves fixed-order
-grids, such as the quadratures in ``propagator``; sums over the order at one
-x (``full_kernel``) stay on the scalar route.
+``bessel_i_scaled_array`` evaluates one order over a numpy array of x with
+the same branch rule.  The series and Hankel branches, which take nearly
+every element of the quadratures' grids, run their scalar loops on the whole
+array under a mask of the elements still iterating.  The few elements left
+for the continued fractions go to the scalar ``_cf_scaled`` one at a time.
+So each element equals ``bessel_i_scaled(nu, x_i)`` bit for bit and the
+scalar route stays the reference.  It serves fixed-order grids, such as the
+quadratures in ``propagator``; sums over the order at one x
+(``full_kernel``) stay on the scalar route.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -208,7 +210,7 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     return _cf_scaled(nu, x)
 
 
-# The array route below runs each scalar helper's loop body statement for
+# The array route below runs the series and Hankel loop bodies statement for
 # statement on a whole numpy array.  A boolean mask marks the elements still
 # iterating: an element leaves it at the scalar stopping test, and from then on
 # np.where freezes its accumulated results, so every element sees exactly the
@@ -265,88 +267,15 @@ def _asymptotic_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
     return np.where(converged, total / np.sqrt(2.0 * math.pi * x), math.nan)
 
 
-def _cf_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
-    xi = 1.0 / x
-    xi2 = 2.0 * xi
-
-    # CF1 for f = I'_nu/I_nu (modified Lentz).
-    h = np.maximum(nu * xi, _FPMIN)
-    b = xi2 * nu
-    d = np.zeros_like(x)
-    c = h
-    live = np.ones(x.shape, dtype=bool)
-    for _ in range(_MAXIT):
-        b += xi2
-        d = 1.0 / (b + d)
-        c = b + 1.0 / c
-        delta = c * d
-        h = np.where(live, h * delta, h)
-        live &= ~(np.abs(delta - 1.0) < _EPS)
-        if not live.any():
-            break
-    else:
-        raise ArithmeticError(
-            f"CF1 failed to converge for nu={nu}, x={float(x[live][0])}")
-
-    # Downward recurrence from order nu to its fractional part mu.
-    nl = int(nu + 0.5)
-    mu = nu - nl
-    ril = np.full_like(x, _FPMIN)
-    rip = h * ril
-    fact = nu * xi
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(nl):
-            ritemp = fact * ril + rip
-            fact -= xi
-            rip = fact * ritemp + ril
-            ril = ritemp
-        f = rip / ril
-    overflowed = ~np.isfinite(f)
-
-    # CF2 for the scaled K_mu (Steed's algorithm); a and cc are the same
-    # for every element.
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h2 = delh = d
-    q1, q2 = np.zeros_like(x), np.ones_like(x)
-    a1 = 0.25 - mu * mu
-    q = cc = a1
-    a = -a1
-    s = 1.0 + q * delh
-    live = np.ones(x.shape, dtype=bool)
-    for i in range(2, _MAXIT):
-        a -= 2 * (i - 1)
-        cc = -a * cc / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += cc * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h2 = np.where(live, h2 + delh, h2)
-        dels = q * delh
-        s = np.where(live, s + dels, s)
-        live &= ~(np.abs(dels / s) < _EPS)
-        if not live.any():
-            break
-    else:
-        raise ArithmeticError(
-            f"CF2 failed to converge for nu={nu}, x={float(x[live][0])}")
-    h2 = a1 * h2
-
-    kmu = np.sqrt(math.pi / (2.0 * x)) / s              # e^{x} K_mu
-    kmu1 = kmu * (mu + x + 0.5 - h2) * xi               # e^{x} K_{mu+1}
-    imu = xi / (kmu1 + (f - mu * xi) * kmu)             # e^{-x} I_mu
-    return np.where(overflowed, 0.0, imu * (_FPMIN / ril))
-
-
 def bessel_i_scaled_array(nu: float, x) -> np.ndarray:
     """e^{-x} I_nu(x) at one order nu over an array x, of x's shape.
 
     Each element equals ``bessel_i_scaled(nu, xi)`` bit for bit: the same
-    branches, constants and stopping tests, evaluated a branch at a time.
-    Raises ValueError where the scalar route does, for any element, and
-    the bare ArithmeticError when a continued fraction does not converge.
+    branch rule, with the series and Hankel branches vectorised and the
+    continued-fraction elements handed to the scalar code in ascending
+    index order.  Raises ValueError where the scalar route does, for any
+    element, and the scalar route's bare ArithmeticError at the first
+    element whose continued fraction does not converge.
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu < 0.0:
@@ -363,9 +292,8 @@ def bessel_i_scaled_array(nu: float, x) -> np.ndarray:
     out[series] = _series_scaled_array(nu, flat[series])
     rest = np.flatnonzero(np.isnan(out))
     out[rest] = _asymptotic_scaled_array(nu, flat[rest])
-    cf = rest[np.isnan(out[rest])]
-    if cf.size:
-        out[cf] = _cf_scaled_array(nu, flat[cf])
+    for i in rest[np.isnan(out[rest])].tolist():
+        out[i] = _cf_scaled(nu, float(flat[i]))
     return out.reshape(x.shape)
 
 

@@ -286,6 +286,14 @@ def test_kernel_tail_tolerance_exit_3(capsys):
       "--beta", "0.1"), 0.01 * 0.713),
     # r1 r2 underflows to z = 0, where every R_m with m >= 1 is 0
     (("--r1", "1e-170", "--r2", "1e-170", "--beta", "1"), 0.0),
+    # z = 1e300 and 1e200: capped by sum_{m >= 1} e^{-z} I_nu(m)(z) <= C,
+    # C = 1/2 for sigma <= 1 and ceil(sigma) above, times pref / pi
+    (("--r1", "1", "--r2", "1", "--beta", "1e-300"),
+     1.001 * 0.5 * (1.0 / math.sinh(1e-300)) / math.pi),
+    (("--r1", "1", "--r2", "1", "--beta", "1e-200"),
+     1.001 * 0.5 * (1.0 / math.sinh(1e-200)) / math.pi),
+    (("--sigma", "1.5", "--r1", "1", "--r2", "1", "--beta", "1e-200"),
+     1.001 * 2 * (1.0 / math.sinh(1e-200)) / math.pi),
 ])
 def test_kernel_tail_bound_finite(capsys, argv, tail_at_most):
     code, out, err = run(capsys, "kernel", *argv, "--format", "json")
@@ -295,6 +303,28 @@ def test_kernel_tail_bound_finite(capsys, argv, tail_at_most):
     assert math.isfinite(rec["value"])
     assert math.isfinite(rec["tail_bound"])
     assert rec["tail_bound"] <= tail_at_most
+
+
+@pytest.mark.parametrize("sigma, true_tail_at_least", [
+    # nu(m) = sqrt(4 m^2 + 1/4) lies in (2m, 2m + 1), so I_nu(m) >= I_{2m+1}:
+    # the odd orders k >= 83 hold (1 - e^{-2z})/4 - O(41/sqrt(z)) of
+    # sum_k e^{-z} I_k(z) = 1 (DLMF 10.35)
+    ("0.5", 0.25),
+    # nu(3j + i) = sqrt(4 (3j + i)^2 + 9/4)/3 <= 2j + i for i = 1, 2, 3, so
+    # the orders m > 40 bound every k >= 29 from below once and every odd
+    # k >= 31 once more: 1/2 + 1/4, more than the cap C = 1/2 of sigma <= 1
+    ("1.5", 0.75),
+])
+def test_kernel_tail_at_huge_z_covers_the_true_tail(capsys, sigma,
+                                                    true_tail_at_least):
+    # z = 1e200: every order below 1e100 has e^{-z} I_nu(z) near
+    # 1/sqrt(2 pi z), so nearly all of the sum lies past m_max = 40
+    code, out, err = run(capsys, "kernel", "--sigma", sigma, "--r1", "1",
+                         "--r2", "1", "--beta", "1e-200", "--format", "json")
+    assert (code, err) == (0, "")
+    pref = 1.0 / math.sinh(1e-200)
+    assert json.loads(out)[0]["tail_bound"] \
+        >= true_tail_at_least * (1.0 - 1e-12) * pref / math.pi
 
 
 def test_kernel_large_tail_asks_for_m_max(capsys):
@@ -405,9 +435,10 @@ def test_verify_verdicts_are_independent_of_units(capsys):
     for flags in (("--omega", "4"), ("--omega", "10", "--mass", "0.1"),
                   ("--mass", "10", "--hbar", "0.1")):
         assert records(*flags) == natural, flags
-    # at omega = 1e-200 the harmonic term is formed as (omega r)^2 and the
-    # levels are solved in units of hbar omega, so nothing underflows
-    for suite in ("transfer", "spectrum"):
+    # at omega = 1e-200 the harmonic term is formed as (omega r)^2, the
+    # levels are solved in units of hbar omega and the composition integrand
+    # is formed in units of M omega / hbar, so nothing underflows
+    for suite in ("transfer", "spectrum", "semigroup"):
         assert records("--suite", suite, "--omega", "1e-200") == [
             rec for rec in natural if rec[0] == suite], suite
 

@@ -1,0 +1,92 @@
+"""The two invariants of the package, read from its source.
+
+(a) The two Bessel routes stay apart: the closed-form modules import nothing
+    from scipy or from ``coneqm.oracles``, and the oracles import nothing
+    from ``coneqm.specfun`` or ``coneqm.propagator``.
+(b) The transfer matrix never receives nu(m, sigma): the bodies that build
+    and compose its short-time kernels name none of the functions that
+    compute an effective order.
+
+Every import statement counts, at module level or inside a function.
+"""
+
+import ast
+import os
+
+import pytest
+
+import coneqm
+
+SOURCE = os.path.dirname(os.path.abspath(coneqm.__file__))
+
+CLOSED_FORM = ("geometry", "grids", "specfun", "spectrum", "propagator")
+TRANSFER_BODIES = ("_short_time_matrix", "transfer_matrix_kernel")
+ORDER_NAMES = {"nu", "coupled_index_nu", "podolsky_index", "_quarter_plus_c",
+               "_regular_exponent"}
+
+
+def parse(module):
+    with open(os.path.join(SOURCE, module + ".py")) as f:
+        return ast.parse(f.read())
+
+
+def imported_modules(tree):
+    """Absolute names of every module an import statement in tree reaches;
+    ``from X import y`` counts both X and X.y, as y may be a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "coneqm" + ("." + base if base else "")
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def reaches(names, package):
+    return sorted(n for n in names
+                  if n == package or n.startswith(package + "."))
+
+
+@pytest.mark.parametrize("module", CLOSED_FORM)
+def test_closed_form_modules_import_no_scipy_and_no_oracle(module):
+    names = imported_modules(parse(module))
+    assert reaches(names, "scipy") == []
+    assert reaches(names, "coneqm.oracles") == []
+
+
+def test_oracles_import_no_closed_form_kernel_code():
+    names = imported_modules(parse("oracles"))
+    assert reaches(names, "coneqm.specfun") == []
+    assert reaches(names, "coneqm.propagator") == []
+
+
+@pytest.mark.parametrize("function", TRANSFER_BODIES)
+def test_transfer_matrix_never_names_an_effective_order(function):
+    bodies = [node for node in ast.walk(parse("oracles"))
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    assert len(bodies) == 1
+    named = {node.id for node in ast.walk(bodies[0])
+             if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(bodies[0])
+              if isinstance(node, ast.Attribute)}
+    assert sorted(named & ORDER_NAMES) == []
+
+
+def test_the_checks_see_an_import_and_an_order():
+    # each check rejects a line that breaks its invariant
+    tree = ast.parse("from scipy.special import ive\n"
+                     "from . import oracles\n"
+                     "def f(model):\n"
+                     "    from .specfun import bessel_i_scaled\n"
+                     "    return model.nu(1)\n")
+    names = imported_modules(tree)
+    assert reaches(names, "scipy") == ["scipy.special", "scipy.special.ive"]
+    assert reaches(names, "coneqm.oracles") == ["coneqm.oracles"]
+    assert reaches(names, "coneqm.specfun") == [
+        "coneqm.specfun", "coneqm.specfun.bessel_i_scaled"]
+    assert {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)} & ORDER_NAMES == {"nu"}

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ive
 
-from coneqm import propagator
+from coneqm import propagator, specfun
 from coneqm.geometry import ConeGeometry, PhysicalConstants
 from coneqm.grids import RadialGrid
 from coneqm.propagator import (KernelQuery, full_kernel, partial_wave_trace,
@@ -479,16 +479,29 @@ def seeded_quadrature_cases(n=4):
                *(float(v) for v in rng.uniform(0.2, 2.0, 2)))
 
 
-def test_quadratures_equal_the_per_point_reference():
-    # 600 nodes out to r = 20 reach every Bessel branch at these betas
+def test_quadratures_equal_the_per_point_reference(monkeypatch):
+    # 600 nodes out to r = 20 reach every Bessel branch at these betas; at
+    # sigma = 0.1, nu(1) = 10.01, and some z in (30, 60) take the continued
+    # fraction, which the array route hands to the scalar code
+    calls = []
+    cf = specfun._cf_scaled
+    monkeypatch.setattr(specfun, "_cf_scaled",
+                        lambda nu, x: calls.append(x) or cf(nu, x))
     grid = RadialGrid(1e-4, 20.0, 600)
-    for mdl, mm, beta1, beta2, r1, r2 in seeded_quadrature_cases():
+    cf_in_quadratures = []
+    for mdl, mm, beta1, beta2, r1, r2 in [
+            *seeded_quadrature_cases(),
+            (model(sigma=0.1, kappa=1.0), 1, 0.5, 0.7, 1.3, 0.8)]:
+        start = len(calls)
         res = semigroup_defect(mdl, mm, r1, r2, beta1, beta2, grid)
+        traces = [partial_wave_trace(mdl, mm, beta, grid)
+                  for beta in (beta1, beta2)]
+        cf_in_quadratures.append(len(calls) - start)
         assert (res.defect, res.boundary_fraction) == semigroup_reference(
             mdl, mm, r1, r2, beta1, beta2, grid)
-        for beta in (beta1, beta2):
-            assert partial_wave_trace(mdl, mm, beta, grid) \
-                == trace_reference(mdl, mm, beta, grid)
+        assert traces == [trace_reference(mdl, mm, beta, grid)
+                          for beta in (beta1, beta2)]
+    assert cf_in_quadratures[-1] > 0
 
 
 def test_closed_kernel_on_arrays_equals_scalar_calls():
