@@ -316,11 +316,19 @@ def _suite_normalization(model) -> list:
     upper = 14.0 * _oscillator_length(model)
     for (n1, m1), (n2, m2) in pairs:
         q1, q2 = QuantumNumbers(n1, m1), QuantumNumbers(n2, m2)
-        val, _ = quad(lambda r: radial_wavefunction(model, q1, r)
-                      * radial_wavefunction(model, q2, r) * r, 0.0, upper,
+        same = q1 == q2
+        if same:
+            # both factors are the same call: evaluate psi once per point
+            def integrand(r):
+                psi = radial_wavefunction(model, q1, r)
+                return psi * psi * r
+        else:
+            def integrand(r):
+                return radial_wavefunction(model, q1, r) \
+                    * radial_wavefunction(model, q2, r) * r
+        val, _ = quad(integrand, 0.0, upper,
                       epsabs=1.0e-12, epsrel=1.0e-12, limit=200)
         val *= 2.0 * math.pi
-        same = (n1, m1) == (n2, m2)
         expected = 1.0 if same else 0.0
         case = f"<{n1},{m1}|{n2},{m2}>"
         records.append(_record("normalization", case, expected, val,

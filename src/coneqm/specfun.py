@@ -37,8 +37,17 @@ array under a mask of the elements still iterating.  The few elements left
 for the continued fractions go to the scalar ``_cf_scaled`` one at a time.
 So each element equals ``bessel_i_scaled(nu, x_i)`` bit for bit and the
 scalar route stays the reference.  It serves fixed-order grids, such as the
-quadratures in ``propagator``; sums over the order at one x
-(``full_kernel``) stay on the scalar route.
+quadratures in ``propagator``.
+
+``bessel_i_scaled_orders`` serves sums over the order at one x, such as
+``full_kernel``.  It yields ``bessel_i_scaled(nu, x)`` for each order of a
+list, bit for bit.  For x up to ``_ORDERS_MAX_X`` it runs the series of every
+series-branch order at once, as a matrix of the scalar loop's term ratios
+whose cumulative products and sums along k are the scalar loop's terms and
+partial totals, operation for operation.  Each order is read at the scalar
+loop's stopping index.  Every other order is evaluated by the scalar route,
+and only when the caller asks for its value, so the continued fractions run
+(and may raise) only where the scalar route would run them.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -57,6 +66,15 @@ _NORMAL_MIN = sys.float_info.min
 _EPS = 1.0e-16
 _FPMIN = 1.0e-290
 _MAXIT = 200000
+# bessel_i_scaled_orders forms its series matrix only for x <= _ORDERS_MAX_X,
+# with int(x) + _ORDERS_EXTRA_STEPS steps of k; the scalar loop stops within
+# that many steps for every order on the series branch (44 at x = 30, nu = 0;
+# 125 at x = 200, nu = 100).  An order that does not stop in the matrix goes
+# to the scalar route.  Above the limit, the matrix would grow with x while
+# the series branch keeps only orders nu >= x / 2.
+_ORDERS_MAX_X = 256.0
+_ORDERS_EXTRA_STEPS = 24
+_ORDERS_K = np.arange(1.0, _ORDERS_MAX_X + _ORDERS_EXTRA_STEPS + 1.0)[:, None]
 # below this x, 0.5 * x rounds in the subnormal range (to 0 at x = 2^-1074)
 _HALVES_EXACTLY = 2.0 ** -1021
 _LN2 = math.log(2.0)
@@ -106,7 +124,10 @@ def _asymptotic_scaled(nu: float, x: float):
             return None
         total += term
         if mag < 1.0e-17 * abs(total):
-            return total / math.sqrt(2.0 * math.pi * x)
+            # sqrt(2 pi x) as 4 sqrt(pi x / 8): 2 pi x overflows for
+            # x >~ 2.9e307, and scaling by the powers of two 16 and 4 is
+            # exact, so this equals the direct form wherever that is finite
+            return total / (4.0 * math.sqrt(0.125 * math.pi * x))
         prev = mag
     return None
 
@@ -210,6 +231,69 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     return _cf_scaled(nu, x)
 
 
+def _series_orders(orders: list, x: float) -> list:
+    # the series at each order on the series branch with a normal leading
+    # term, for 0 < x <= _ORDERS_MAX_X: row 0 holds the leading terms, row k
+    # the scalar loop's ratio q / (k * (k + nu)); np.multiply.accumulate and
+    # np.add.accumulate along k repeat the loop's term *= and total +=.
+    # None where the order is left to the scalar route: off the series
+    # branch, a leading term below the normal range (a value at most a few
+    # scalar iterations away), a leading term whose lgamma overflows (the
+    # scalar route raises it when reached), or no stop inside the matrix
+    out = [None] * len(orders)
+    log_half_x = math.log(0.5 * x) if x >= _HALVES_EXACTLY \
+        else math.log(x) - _LN2
+    small_x = x <= _SERIES_X
+    cols, col_nus, lead = [], [], []
+    for i, nu in enumerate(orders):
+        if 0.0 <= nu < math.inf and (small_x or x <= _SERIES_PER_ORDER * nu):
+            try:
+                term = math.exp(nu * log_half_x - math.lgamma(nu + 1.0) - x)
+            except OverflowError:
+                continue
+            if term >= _NORMAL_MIN:
+                cols.append(i)
+                col_nus.append(nu)
+                lead.append(term)
+    if not cols:
+        return out
+    steps = int(x) + _ORDERS_EXTRA_STEPS
+    k = _ORDERS_K[:steps]
+    den = k + np.array(col_nus)
+    den *= k
+    ratios = np.empty((steps + 1, len(cols)))
+    ratios[0] = lead
+    np.divide(0.25 * x * x, den, out=ratios[1:])
+    terms = np.multiply.accumulate(ratios, axis=0)
+    totals = np.add.accumulate(terms, axis=0)
+    stops = terms[1:] <= 1.0e-17 * totals[1:]
+    first = stops.argmax(axis=0)
+    at = np.arange(len(cols))
+    for i, stopped, total in zip(cols, stops[first, at].tolist(),
+                                 totals[first + 1, at].tolist()):
+        if stopped:
+            out[i] = total
+    return out
+
+
+def bessel_i_scaled_orders(orders, x: float):
+    """Yield ``bessel_i_scaled(nu, x)`` for each nu in orders, bit for bit.
+
+    For 0 < x <= _ORDERS_MAX_X the series-branch orders are evaluated
+    together when the first value is asked for; every other order goes to
+    the scalar route when its own value is asked for, so a caller that stops
+    early never evaluates (or raises from) the continued fractions of the
+    orders it did not reach.  Raises what the scalar route raises, at the
+    order that raises it.
+    """
+    x = float(x)
+    orders = [float(nu) for nu in orders]
+    done = _series_orders(orders, x) if 0.0 < x <= _ORDERS_MAX_X \
+        else [None] * len(orders)
+    for nu, val in zip(orders, done):
+        yield bessel_i_scaled(nu, x) if val is None else val
+
+
 # The array route below runs the series and Hankel loop bodies statement for
 # statement on a whole numpy array.  A boolean mask marks the elements still
 # iterating: an element leaves it at the scalar stopping test, and from then on
@@ -253,18 +337,23 @@ def _asymptotic_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
     prev = np.abs(term)
     live = np.ones(x.shape, dtype=bool)
     converged = np.zeros(x.shape, dtype=bool)
-    for k in range(1, 60):
-        term *= -(mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        mag = np.abs(term)
-        live &= ~(mag >= prev)
-        total = np.where(live, total + term, total)
-        done = live & (mag < 1.0e-17 * np.abs(total))
-        converged |= done
-        live &= ~done
-        if not live.any():
-            break
-        prev = mag
-    return np.where(converged, total / np.sqrt(2.0 * math.pi * x), math.nan)
+    # 8 k x overflows to inf for x >~ 2.2e307 / k, as it does in the scalar
+    # route, where the ratio then rounds to -0.0
+    with np.errstate(over="ignore"):
+        for k in range(1, 60):
+            term *= -(mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
+            mag = np.abs(term)
+            live &= ~(mag >= prev)
+            total = np.where(live, total + term, total)
+            done = live & (mag < 1.0e-17 * np.abs(total))
+            converged |= done
+            live &= ~done
+            if not live.any():
+                break
+            prev = mag
+    # sqrt(2 pi x) formed as in the scalar route
+    return np.where(converged, total / (4.0 * np.sqrt(0.125 * math.pi * x)),
+                    math.nan)
 
 
 def bessel_i_scaled_array(nu: float, x) -> np.ndarray:

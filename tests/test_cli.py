@@ -327,6 +327,45 @@ def test_kernel_tail_at_huge_z_covers_the_true_tail(capsys, sigma,
         >= true_tail_at_least * (1.0 - 1e-12) * pref / math.pi
 
 
+def test_kernel_at_the_largest_bessel_argument(capsys):
+    # z = 1 / sinh(1e-308) = 1e308, where 2 pi z overflows: every
+    # e^{-z} I_nu(z) is near 1/sqrt(2 pi z), not 0
+    code, out, err = run(capsys, "kernel", "--r1", "1", "--r2", "1",
+                         "--beta", "1e-308", "--format", "json")
+    assert (code, err) == (0, "")
+    got = json.loads(out)[0]
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        beta = mpmath.mpf(1e-308)
+        sh = mpmath.sinh(beta)
+        z = 1 / sh
+        scale = mpmath.exp(-2 * mpmath.sinh(beta / 2) ** 2 / sh) / sh
+        terms = [scale * mpmath.besseli(mpmath.sqrt(4 * m * m + 0.25), z)
+                 * mpmath.exp(-z) * (1 if m == 0 else 2) for m in range(41)]
+        want = float(mpmath.fsum(terms) / (2 * mpmath.pi))
+    assert want == pytest.approx(5.14e154, rel=1e-3)
+    assert got["value"] == pytest.approx(want, rel=1e-12)
+    # the true tail is about pref / (4 pi) = 7.96e306 (see
+    # test_kernel_tail_at_huge_z_covers_the_true_tail)
+    pref = 1.0 / math.sinh(1e-308)
+    assert 7.9e306 <= got["tail_bound"] <= 1.001 * 0.5 * pref / math.pi
+
+
+@pytest.mark.parametrize("argv", [
+    # z = 1 / sinh(1e-310) overflows
+    ("--r1", "1", "--r2", "1", "--beta", "1e-310"),
+    # z = 1e308, but M omega / (hbar sinh(omega beta)) overflows
+    ("--r1", "0.1", "--r2", "0.1", "--beta", "1e-310"),
+    # sinh(omega beta) underflows to 0
+    ("--r1", "1", "--r2", "1", "--beta", "5e-324", "--omega", "0.5"),
+])
+def test_kernel_overflowing_factors_exit_2(capsys, argv):
+    code, out, err = run(capsys, "kernel", *argv)
+    assert code == 2
+    assert out == ""
+    assert "beta" in err
+
+
 def test_kernel_large_tail_asks_for_m_max(capsys):
     code, out, err = run(capsys, "kernel", "--r1", "4", "--r2", "4.4",
                          "--beta", "0.01", "--tail-tol", "1e-6")
@@ -371,6 +410,32 @@ def test_kernel_bessel_non_convergence_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "failed to converge" in err
+
+
+def test_kernel_stop_before_any_cf_order_exit_0(capsys, monkeypatch):
+    # sigma = 0.05 gives nu(m) near 20 m.  At z = 37.21 / sinh(1) = 31.7 the
+    # orders up to nu ~ 330 are on the Hankel or series branch, and the
+    # higher ones (m >= 17, in the first block of orders) need the continued
+    # fraction; the sum is certified near m = 4, so no continued fraction
+    # runs, and one that cannot converge must not be evaluated ahead
+    from coneqm import propagator, specfun
+    from coneqm.geometry import ConeGeometry, PhysicalConstants
+    from coneqm.spectrum import OscillatorModel
+    base = ("kernel", "--sigma", "0.05", "--r1", "6.1", "--r2", "6.1",
+            "--beta", "1", "--format", "json")
+    with monkeypatch.context() as mp:
+        mp.setattr(propagator, "_BLOCK_MIN_Z", math.inf)
+        code, scalar, err = run(capsys, *base)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(specfun, "_MAXIT", 3)
+    code, out, err = run(capsys, *base)
+    assert (code, err) == (0, "")
+    assert out == scalar
+    # while evaluating the whole default m_max = 40 raises
+    model = OscillatorModel(ConeGeometry(0.05), PhysicalConstants(), 1.0, 1.0)
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        list(specfun.bessel_i_scaled_orders(
+            [model.nu(m) for m in range(41)], 6.1 * 6.1 / math.sinh(1.0)))
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])

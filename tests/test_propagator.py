@@ -280,6 +280,39 @@ def test_full_kernel_equality_catches_a_stop_without_remainder_bound(
                for mod, q, dth in cases)
 
 
+def test_full_kernel_over_several_blocks_of_orders(monkeypatch):
+    # sigma = 2 makes nu(m) near m / 2, so at z = 9 / sinh(0.3) = 29.6 the
+    # sum is certified only past m = 90: several blocks, each of at most
+    # _BLOCK orders, give the whole m_max sum bit for bit
+    blocks = []
+
+    def recording(orders, x):
+        blocks.append(len(orders))
+        return specfun.bessel_i_scaled_orders(orders, x)
+    monkeypatch.setattr(propagator, "bessel_i_scaled_orders", recording)
+    mod = model(sigma=2.0, kappa=-2.0)
+    for m_max in (200, 100_000_000):
+        blocks.clear()
+        q = KernelQuery(r1=3.0, r2=3.0, beta=0.3, m_max=m_max)
+        assert full_kernel(mod, q, 0.7).value \
+            == full_fsum(mod, KernelQuery(3.0, 3.0, 0.3, 200), 0.7)
+        assert len(blocks) >= 2
+        assert max(blocks) <= propagator._BLOCK
+
+
+def test_full_kernel_rejects_overflowing_factors():
+    # z = M omega r1 r2 / (hbar sinh(omega beta)) or the prefactor overflows
+    m = model()
+    for r, beta in ((1.0, 1e-310), (0.1, 1e-310)):
+        with pytest.raises(ValueError, match="r1 = .*r2 = .*beta = 1e-310"):
+            full_kernel(m, KernelQuery(r1=r, r2=r, beta=beta), 0.0)
+    # sinh(omega beta) underflows to 0
+    with pytest.raises(ValueError, match="beta = 5e-324"):
+        full_kernel(model(omega=0.5), KernelQuery(1.0, 1.0, 5e-324), 0.0)
+    with pytest.raises(ValueError, match="beta = 5e-324"):
+        radial_kernel_closed(model(omega=0.5), 1, 1.0, 1.0, 5e-324)
+
+
 def test_amos_ratio_bounds_the_bessel_ratio():
     # rho(nu) >= I_{nu+1}(z)/I_nu(z) at seeded (nu, z), against mpmath
     rng = np.random.default_rng(11)

@@ -8,6 +8,7 @@ design: its reference is the scalar route, which it must match bit for bit.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -18,7 +19,8 @@ from scipy.integrate import quad
 
 from coneqm import specfun
 from coneqm.specfun import (bessel_i_scaled, bessel_i_scaled_array,
-                            hyp1f1_terminating, laguerre_sequence, ln_gamma)
+                            bessel_i_scaled_orders, hyp1f1_terminating,
+                            laguerre_sequence, ln_gamma)
 
 mpmath.mp.dps = 30
 
@@ -272,6 +274,123 @@ def test_bessel_array_non_convergence_raises_bare_arithmetic_error(
     with pytest.raises(ArithmeticError, match="failed to converge") as exc:
         bessel_i_scaled_array(10.0, np.array([1.0, 40.0, 200.0]))
     assert type(exc.value) is ArithmeticError
+
+
+def test_bessel_at_huge_argument():
+    # 2 pi x overflows for x >~ 2.9e307; e^{-x} I_nu(x) is near
+    # 1/sqrt(2 pi x) there, about 4e-155, not 0
+    xs = [3e307, 1e308, sys.float_info.max]
+    for nu in (0.0, 0.5, 2.0615528128088303, 80.0):
+        for x in xs:
+            assert bessel_i_scaled(nu, x) == pytest.approx(
+                mp_i_scaled(nu, x), rel=1e-13, abs=0.0)
+        assert_same_bits(nu, xs)
+
+
+@settings(max_examples=300)
+@given(x=st.floats(30.0, 2.8e307, exclude_min=True))
+def test_hankel_normalization_keeps_its_bits_where_2_pi_x_is_finite(x):
+    # at nu = 1/2 the Hankel series is exactly 1, so the value is the
+    # normalization alone, and it keeps the bits of the direct form
+    assert bessel_i_scaled(0.5, x) == 1.0 / math.sqrt(2.0 * math.pi * x)
+
+
+# --------------------------------------------------- bessel_i_scaled_orders
+# Again the scalar route is the reference, order by order, bit for bit.
+
+
+def assert_orders_same_bits(orders, x):
+    got = list(bessel_i_scaled_orders(orders, x))
+    want = [bessel_i_scaled(nu, x) for nu in orders]
+    assert np.array_equal(np.array(got).view(np.int64),
+                          np.array(want).view(np.int64)), \
+        f"x={x!r}, orders={orders!r}"
+
+
+@st.composite
+def _orders_at_one_x(draw):
+    # increasing orders, as full_kernel asks for them, with x log-uniform up
+    # to the matrix limit, at the branch edges 30 and 2 nu, or subnormal
+    n = draw(st.integers(1, 64))
+    start = draw(st.floats(0.0, 200.0))
+    steps = draw(st.lists(st.floats(0.0, 8.0), min_size=n - 1,
+                          max_size=n - 1))
+    orders = [start]
+    for step in steps:
+        orders.append(min(orders[-1] + step, 200.0))
+    edge = draw(st.sampled_from(["log", "log", "30", "2nu", "subnormal"]))
+    if edge == "log":
+        x = 10.0 ** draw(st.floats(-300.0, math.log10(specfun._ORDERS_MAX_X)))
+    elif edge == "30":
+        x = draw(st.sampled_from([math.nextafter(30.0, 0.0), 30.0,
+                                  math.nextafter(30.0, math.inf)]))
+    elif edge == "2nu":
+        x = 2.0 * draw(st.sampled_from(orders))
+        x = draw(st.sampled_from([math.nextafter(x, 0.0), x,
+                                  math.nextafter(x, math.inf)]))
+    else:
+        x = draw(st.sampled_from([5e-324, 1.5e-323, 1e-310, 2.0 ** -1021]))
+    return orders, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_orders_at_one_x(), extra_steps=st.sampled_from([None, 1, 3, 10]))
+def test_bessel_orders_match_scalar_bit_for_bit(case, extra_steps):
+    # a small step allowance makes columns run out of matrix rows before
+    # their stop, and those orders go to the scalar route
+    orders, x = case
+    with pytest.MonkeyPatch.context() as mp:
+        if extra_steps is not None:
+            mp.setattr(specfun, "_ORDERS_EXTRA_STEPS", extra_steps)
+        assert_orders_same_bits(orders, x)
+
+
+def test_bessel_orders_cover_each_branch():
+    # every way an order leaves the matrix, beside orders it keeps: off the
+    # series branch (Hankel, CF), a leading term below the normal range, and
+    # no stop within the rows
+    x = 40.0
+    orders = [0.5, 10.0, 20.0, 25.0, 400.0]
+    done = specfun._series_orders(orders, x)
+    assert [v is not None for v in done] == [False, False, True, True, False]
+    assert specfun._asymptotic_scaled(0.5, x) is not None
+    assert specfun._asymptotic_scaled(10.0, x) is None
+    assert_orders_same_bits(orders, x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "_ORDERS_EXTRA_STEPS", 0)
+        assert specfun._series_orders([0.0, 200.0], 25.0)[0] is None
+        assert specfun._series_orders([0.0, 200.0], 25.0)[1] is not None
+    for x in (0.0, specfun._ORDERS_MAX_X * 2.0, 1.0e4):
+        assert_orders_same_bits([0.0, 3.0, 150.3, 700.0, 720.0], x)
+
+
+def test_bessel_orders_evaluate_the_cf_only_when_reached(monkeypatch):
+    # at x = 40, orders 30 and 45 are on the series branch and order 10
+    # needs the continued fraction, which cannot converge in 3 steps
+    monkeypatch.setattr(specfun, "_MAXIT", 3)
+    values = bessel_i_scaled_orders([30.0, 45.0, 10.0, 50.0], 40.0)
+    assert next(values) == bessel_i_scaled(30.0, 40.0)
+    assert next(values) == bessel_i_scaled(45.0, 40.0)
+    with pytest.raises(ArithmeticError, match="failed to converge") as exc:
+        next(values)
+    assert type(exc.value) is ArithmeticError
+
+
+@pytest.mark.parametrize("orders, x, error", [
+    ([1.0, -0.5], 1.0, ValueError), ([1.0, math.nan], 1.0, ValueError),
+    ([1.0, math.inf], 1.0, ValueError), ([1.0], -2.0, ValueError),
+    ([1.0], math.nan, ValueError), ([1.0], math.inf, ValueError),
+    # lgamma(nu + 1) of the series' leading term overflows
+    ([1.0, 1e306], 1.0, OverflowError),
+])
+def test_bessel_orders_errors_at_the_order_reached(orders, x, error):
+    with pytest.raises(error):
+        bessel_i_scaled(orders[-1], x)
+    values = bessel_i_scaled_orders(orders, x)
+    if len(orders) > 1:
+        assert next(values) == bessel_i_scaled(orders[0], x)
+    with pytest.raises(error):
+        next(values)
 
 
 # ------------------------------------------------------------------- 1F1
