@@ -424,13 +424,6 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         sys.stderr.write(f"coneqm: overflow: {exc}\n")
         return 3
-    except ArithmeticError as exc:
-        # specfun's continued fractions raise the bare base class when they
-        # do not converge; its other subclasses (ZeroDivisionError) are bugs
-        if type(exc) is not ArithmeticError:
-            raise
-        sys.stderr.write(f"coneqm: {exc}\n")
-        return 3
 
 
 if __name__ == "__main__":

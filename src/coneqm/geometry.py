@@ -12,6 +12,8 @@ valid for sigma > 1 (negative-deficit cone) and are exposed there as well.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -180,3 +182,18 @@ def coupled_index_nu(geom: ConeGeometry, kappa: float, m: int) -> float:
             f"kappa must be >= 1 - sigma^2 = {bound:.6g}, got {kappa:.6g}"
         )
     return math.sqrt(4.0 * m * m + kappa + s * s - 1.0) / (2.0 * s)
+
+
+def coupled_index_nu_range(geom: ConeGeometry, kappa: float, start: int,
+                           stop: int) -> np.ndarray:
+    """``coupled_index_nu(geom, kappa, m)`` for start <= m < stop, as an
+    array.
+
+    Each element equals the scalar call bit for bit: the same operations in
+    the same order, and numpy's + * / and sqrt round correctly, as Python's
+    do.
+    """
+    coupled_index_nu(geom, kappa, 0)        # the kappa >= 1 - sigma^2 check
+    s = geom.sigma
+    m = np.arange(start, stop, dtype=float)
+    return np.sqrt(4.0 * m * m + float(kappa) + s * s - 1.0) / (2.0 * s)

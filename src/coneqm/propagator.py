@@ -31,6 +31,7 @@ import numpy as np
 
 # coupled_index_nu and ln_gamma are unused here; bench/tracing.py wraps them
 from .geometry import coupled_index_nu  # noqa: F401
+from .geometry import coupled_index_nu_range
 from .grids import RadialGrid
 from .specfun import (bessel_i_scaled, bessel_i_scaled_array,
                       bessel_i_scaled_orders, exp_each)
@@ -64,18 +65,33 @@ _SAFETY = 1.001
 _NORMAL_MIN = sys.float_info.min
 _UNDERFLOW_ULPS = 2.0 ** -1060
 _GAP_MARGIN = 1.0 - 2.0 ** -20
-# full_kernel takes nu(m) and e^{-z} I_nu(m)(z) _BLOCK orders at a time from
+# covers the rounding of the four terms of the integral in _log_tail_ratio
+_INTEGRAL_ROUNDING = 8.0 * sys.float_info.epsilon
+# full_kernel takes nu(m) and e^{-z} I_nu(m)(z) in blocks of orders from
 # specfun.bessel_i_scaled_orders where z > _BLOCK_MIN_Z, and makes one scalar
-# call per order at smaller z, where a block's fixed numpy cost (~25 us)
-# exceeds the series work it saves.  Measured on kernel-table queries
-# (seeds 8 and 9, 2-vCPU VM; mean per query of each query's best of 4,
-# scalar and blocked runs interleaved; us, scalar -> blocks of 48):
-#   z in (2, 3]: 70.3 -> 81.3, 62.8 -> 72.9;  (3, 4]: 83.2 -> 84.0,
-#   73.3 -> 75.1;  (4, 5]: 89.5 -> 85.9, 82.8 -> 78.1;  (10, 30]:
-#   190.7 -> 108.4, 166.4 -> 94.1.
-# Blocks of 32 and 64 were no faster than 48 at any z above 4 (seed 6).
-_BLOCK = 48
-_BLOCK_MIN_Z = 4.0
+# call per order at smaller z, where a block's fixed numpy cost exceeds the
+# series work it saves.  The first block holds
+# ceil(sigma (_FIRST_BLOCK[0] + _FIRST_BLOCK[1] sqrt(z))) orders, at most
+# _BLOCK: the certified stop lies at 9 to 14.6 sigma sqrt(z) terms on
+# kernel-table's queries, and a second block costs more than a few orders
+# too many.  Later blocks hold _BLOCK orders.  Measured on kernel-table
+# queries with the expansion above z = 30 (seeds 6, 8 and 9, 2-vCPU VM;
+# mean per query of each query's best of 4, configurations interleaved
+# query by query; us):
+#   scalar against blocks at z in (1.5, 2]: 92.4 -> 105.3, 89.3 -> 100.9;
+#   (2, 3]: 99.9 -> 100.6, 96.4 -> 98.2;  (3, 4]: 115.2 -> 105.4,
+#   109.3 -> 100.8 (seeds 8, 9).
+#   First block of 48 against sized from z, z > 3: 730.9 -> 707.0 and
+#   703.1 -> 677.7 ms in all (seeds 8, 9); with 11 sqrt(z), 750.0 and
+#   721.8, as second blocks return.
+#   _BLOCK 48 -> 96 (sized first block): 693.0 -> 645.8 ms (seed 9); 32
+#   was slower than 48, and 128 and 256 equal 96, as m_max <= 80 there.
+#   All together, against blocks of 48 above z = 4, z > 1.5: 775.9 ->
+#   705.4 ms (seed 6).  Orders evaluated past the stop on seed 1: 29,012
+#   of 159,084 -> 10,462 of 151,765.
+_BLOCK = 96
+_BLOCK_MIN_Z = 3.0
+_FIRST_BLOCK = (2.0, 13.0)
 
 
 @dataclass(frozen=True)
@@ -149,6 +165,18 @@ def _kernel_factors(model: OscillatorModel, r1: float, r2: float,
     return a / sh, expo, z
 
 
+def _overflow_error(r1, r2, beta: float, pref: float, z) -> ValueError:
+    # names the first point where M w/(hbar sinh(w beta)) or the Bessel
+    # argument z overflows; r1, r2 and z may be numpy arrays
+    r1, r2, z = np.broadcast_arrays(r1, r2, z)
+    i = int(np.argmax(~np.isfinite(z))) if math.isfinite(pref) else 0
+    return ValueError(
+        f"the kernel overflows at r1 = {float(r1.flat[i])!r}, "
+        f"r2 = {float(r2.flat[i])!r}, beta = {beta!r}: M omega / (hbar "
+        f"sinh(omega beta)) = {pref!r}, Bessel argument z = "
+        f"{float(z.flat[i])!r}")
+
+
 def radial_kernel_closed(model: OscillatorModel, m: int, r1, r2,
                          beta: float):
     """Closed-form Euclidean m-channel kernel; symmetric in r1 <-> r2.
@@ -171,7 +199,11 @@ def radial_kernel_closed(model: OscillatorModel, m: int, r1, r2,
     beta = _check_beta(beta)
     if not ok:
         raise ValueError("r1 and r2 must be finite reals > 0")
-    pref, expo, z = _kernel_factors(model, r1, r2, beta)
+    # overflowing factors are reported below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref, expo, z = _kernel_factors(model, r1, r2, beta)
+    if not (math.isfinite(pref) and np.isfinite(z).all()):
+        raise _overflow_error(r1, r2, beta, pref, z)
     return pref * exp(expo) * bessel(model.nu(m), z)
 
 
@@ -232,6 +264,45 @@ def _log_ratio_sum_bound(nu: float, lead: float, s: int, z: float) -> float:
     return math.inf
 
 
+def _log_tail_ratio(model: OscillatorModel, nu: float, j: int, m_max: int,
+                    z: float) -> float:
+    """log bound on sum_{m > m_max} R_m / R_j, with nu = nu(j), j <= m_max.
+
+    At most ``_log_ratio_sum_bound``'s, which steps from nu(j) to every
+    skipped order at rho(nu(j)), although rho shrinks as the order grows.
+    Where nu(n) >= nu + 1, n = m_max + 1, a tighter one takes one step at
+    rho(nu); then the slope of the concave log I_mu, at most
+    log rho(mu - 1) = -asinh((mu - 1/2)/z), integrated up to nu(n) with
+    int asinh(X/z) dX = X asinh(X/z) - sqrt(X^2 + z^2); from n on, steps
+    of at least the mean step (nu(n) - nu)/(n - j) of the convex nu(m),
+    each at most rho(nu(n) - 1), a geometric sum.
+    """
+    n = m_max + 1
+    lead = model.nu(n) - nu
+    if 1.0 <= lead < math.inf:
+        lo = nu + 0.5
+        hi = lo + (lead - 1.0)
+        a_lo = math.asinh(lo / z)
+        a_hi = math.asinh(hi / z)
+        f_hi = hi * a_hi
+        h_hi = math.sqrt(hi * hi + z * z)
+        f_lo = lo * a_lo
+        h_lo = math.sqrt(lo * lo + z * z)
+        # less a margin for the rounding of the four parts; inf or nan
+        # where a square overflows
+        area = (f_hi - h_hi - f_lo + h_lo) \
+            - _INTEGRAL_ROUNDING * (f_hi + h_hi + f_lo + h_lo)
+        q = -math.expm1(-a_hi * lead / (n - j))
+        if q > 0.0 and math.isfinite(area):
+            tight = -a_lo - (area if area > 0.0 else 0.0) - math.log(q)
+            # the order-step bound is lead log rho(nu) = -lead a_lo, less a
+            # logarithm <= 0, so it is at least this, rounding included
+            if tight <= lead * -a_lo:
+                return tight
+            return min(tight, _log_ratio_sum_bound(nu, lead, n - j, z))
+    return _log_ratio_sum_bound(nu, lead, n - j, z)
+
+
 def _rest_keeps_rounding(terms: list, rest: float):
     """fsum(terms) if adding any x with |x| <= rest leaves it unchanged.
 
@@ -254,8 +325,10 @@ def _rest_keeps_rounding(terms: list, rest: float):
 
 def _order_block(model: OscillatorModel, z: float, start: int, stop: int):
     """Iterators over nu(m) and e^{-z} I_nu(m)(z) for start <= m < stop; the
-    Bessel values are evaluated lazily (``specfun.bessel_i_scaled_orders``)."""
-    nus = [model.nu(m) for m in range(start, stop)]
+    Bessel values are evaluated when the first is asked for
+    (``specfun.bessel_i_scaled_orders``)."""
+    nus = coupled_index_nu_range(model.geom, model.kappa, start,
+                                 stop).tolist()
     return iter(nus), bessel_i_scaled_orders(nus, z)
 
 
@@ -277,14 +350,13 @@ def full_kernel(model: OscillatorModel, query: KernelQuery,
     m_max = query.m_max
     pref, expo, z = _kernel_factors(model, query.r1, query.r2, query.beta)
     if not (math.isfinite(pref) and math.isfinite(z)):
-        raise ValueError(
-            f"the kernel overflows at r1 = {query.r1!r}, r2 = {query.r2!r}, "
-            f"beta = {query.beta!r}: M omega / (hbar sinh(omega beta)) = "
-            f"{pref!r}, Bessel argument z = {z!r}")
+        raise _overflow_error(query.r1, query.r2, query.beta, pref, z)
     scale = pref * math.exp(expo)
     blocked = z > _BLOCK_MIN_Z
     if blocked:
-        end = min(_BLOCK, m_max + 1)
+        first = model.geom.sigma \
+            * (_FIRST_BLOCK[0] + _FIRST_BLOCK[1] * math.sqrt(z))
+        end = min(_BLOCK, m_max + 1, math.ceil(first))
         nus, bms = _order_block(model, z, 0, end)
         nu, bm = next(nus), next(bms)
     else:
@@ -343,8 +415,7 @@ def full_kernel(model: OscillatorModel, query: KernelQuery,
         j = len(terms) - 1
         log_rj = math.log(pref) + expo \
             + math.log(_SAFETY * max(bm, _NORMAL_MIN))
-        log_bound = log_rj + _log_ratio_sum_bound(
-            nu, model.nu(m_max + 1) - nu, m_max + 1 - j, z)
+        log_bound = log_rj + _log_tail_ratio(model, nu, j, m_max, z)
         sigma = model.geom.sigma
         c = 0.5 if sigma <= 1.0 else math.ceil(sigma)
         log_cap = math.log(pref) + expo + math.log(_SAFETY * c)

@@ -366,6 +366,16 @@ def test_kernel_overflowing_factors_exit_2(capsys, argv):
     assert "beta" in err
 
 
+def test_verify_overflowing_closed_kernel_exit_2(capsys):
+    # M omega / (hbar sinh(omega beta)) = 1e308 / sinh(0.5) overflows in the
+    # semigroup suite's closed kernels
+    code, out, err = run(capsys, "verify", "--suite", "semigroup",
+                         "--mass", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "overflows at r1 = " in err and "r2 = " in err and "beta = " in err
+
+
 def test_kernel_large_tail_asks_for_m_max(capsys):
     code, out, err = run(capsys, "kernel", "--r1", "4", "--r2", "4.4",
                          "--beta", "0.01", "--tail-tol", "1e-6")
@@ -400,42 +410,21 @@ def test_kernel_huge_m_max_stops_at_certified_term(capsys):
     assert json.loads(out)[0]["value"] == json.loads(ref)[0]["value"]
 
 
-def test_kernel_bessel_non_convergence_exit_3(capsys, monkeypatch):
-    from coneqm import specfun
-    monkeypatch.setattr(specfun, "_MAXIT", 3)
-    # z = 36 / sinh(1) = 30.6 is past the series' x <= 30, so the
-    # continued fraction runs for the orders where Hankel gives up
-    code, out, err = run(capsys, "kernel", "--r1", "6", "--r2", "6",
-                         "--beta", "1", "--m-max", "5")
-    assert code == 3
-    assert out == ""
-    assert "failed to converge" in err
-
-
-def test_kernel_stop_before_any_cf_order_exit_0(capsys, monkeypatch):
-    # sigma = 0.05 gives nu(m) near 20 m.  At z = 37.21 / sinh(1) = 31.7 the
-    # orders up to nu ~ 330 are on the Hankel or series branch, and the
-    # higher ones (m >= 17, in the first block of orders) need the continued
-    # fraction; the sum is certified near m = 4, so no continued fraction
-    # runs, and one that cannot converge must not be evaluated ahead
-    from coneqm import propagator, specfun
-    from coneqm.geometry import ConeGeometry, PhysicalConstants
-    from coneqm.spectrum import OscillatorModel
+def test_kernel_blocked_equals_scalar_above_30_exit_0(capsys, monkeypatch):
+    # sigma = 0.05 gives nu(m) near 20 m.  At z = 37.21 / sinh(1) = 31.7
+    # every order of the first block takes the expansion, up to nu ~ 800;
+    # the sum is certified near m = 4, and the output equals the scalar
+    # calls' byte for byte
+    from coneqm import propagator
     base = ("kernel", "--sigma", "0.05", "--r1", "6.1", "--r2", "6.1",
             "--beta", "1", "--format", "json")
     with monkeypatch.context() as mp:
         mp.setattr(propagator, "_BLOCK_MIN_Z", math.inf)
         code, scalar, err = run(capsys, *base)
     assert (code, err) == (0, "")
-    monkeypatch.setattr(specfun, "_MAXIT", 3)
     code, out, err = run(capsys, *base)
     assert (code, err) == (0, "")
     assert out == scalar
-    # while evaluating the whole default m_max = 40 raises
-    model = OscillatorModel(ConeGeometry(0.05), PhysicalConstants(), 1.0, 1.0)
-    with pytest.raises(ArithmeticError, match="failed to converge"):
-        list(specfun.bessel_i_scaled_orders(
-            [model.nu(m) for m in range(41)], 6.1 * 6.1 / math.sinh(1.0)))
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
@@ -454,18 +443,6 @@ def test_kernel_zero_tail_tol_is_accepted(capsys):
                        "--beta", "1", "--tail-tol", "0")
     assert code == 0
     assert err == ""
-
-
-def test_verify_semigroup_bessel_non_convergence_exit_3(capsys, monkeypatch):
-    # the semigroup suite reaches specfun through the array route; at
-    # sigma = 0.25 its grid reaches the continued fraction's x > 30
-    from coneqm import specfun
-    monkeypatch.setattr(specfun, "_MAXIT", 3)
-    code, out, err = run(capsys, "verify", "--suite", "semigroup",
-                         "--sigma", "0.25")
-    assert code == 3
-    assert out == ""
-    assert "failed to converge" in err
 
 
 def test_verify_semigroup_verdict_is_independent_of_units(capsys):

@@ -8,6 +8,7 @@ and trapezoid/ladder identities.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -233,8 +234,8 @@ def test_full_kernel_m0_isotropic_term():
 
 @settings(max_examples=300)
 @given(sigma=st.floats(0.25, 2.0), extra=st.floats(0.0, 3.0),
-       r1=st.floats(5e-324, 3.0), r2=st.floats(5e-324, 3.0),
-       beta=st.floats(0.05, 5.0),
+       r1=st.floats(5e-324, 6.0), r2=st.floats(5e-324, 6.0),
+       beta=st.floats(1e-4, 20.0),
        dtheta=st.floats(allow_nan=False, allow_infinity=False),
        m_max=st.sampled_from([0, 1, 10, 40, 80]))
 def test_full_kernel_equals_the_whole_m_max_sum(sigma, extra, r1, r2, beta,
@@ -298,6 +299,25 @@ def test_full_kernel_over_several_blocks_of_orders(monkeypatch):
             == full_fsum(mod, KernelQuery(3.0, 3.0, 0.3, 200), 0.7)
         assert len(blocks) >= 2
         assert max(blocks) <= propagator._BLOCK
+
+
+@pytest.mark.parametrize("r", [0.1, 1.0])
+def test_closed_kernel_rejects_overflowing_factors(r):
+    # at r = 0.1, z = 1e308 but M omega / (hbar sinh(omega beta)) overflows;
+    # at r = 1, z overflows too.  Scalar and array radii alike, and no numpy
+    # warning comes first
+    m = model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r1, r2 in ((r, r), (np.array([0.5, r]), r),
+                       (r, np.array([[r], [r]]))):
+            with pytest.raises(ValueError,
+                               match="r1 = .*, r2 = .*, beta = 1e-310"):
+                radial_kernel_closed(m, 1, r1, r2, 1e-310)
+        # an overflowing z alone names its point of the array
+        with pytest.raises(ValueError,
+                           match=r"r1 = 1e\+300, r2 = 1e\+300, beta"):
+            radial_kernel_closed(m, 1, np.array([1.0, 1e300]), 1e300, 1.0)
 
 
 def test_full_kernel_rejects_overflowing_factors():
@@ -420,6 +440,45 @@ def test_tail_bound_covers_the_discarded_terms(sigma, extra, r1, r2, beta,
     assert bound >= brute_force_tail(mod, q) * (1.0 - 1e-12)
 
 
+def steps_only_tail(mod, q, dtheta, monkeypatch):
+    """full_kernel's tail with every skipped order stepped at rho(nu(j))."""
+    def steps(mdl, nu, j, m_max, z):
+        return propagator._log_ratio_sum_bound(
+            nu, mdl.nu(m_max + 1) - nu, m_max + 1 - j, z)
+    with monkeypatch.context() as mp:
+        mp.setattr(propagator, "_log_tail_ratio", steps)
+        return full_kernel(mod, q, dtheta).tail_bound
+
+
+def test_tail_after_an_early_stop_is_tight(monkeypatch):
+    # seeded points over the domain of the property test above: the tail is
+    # at most the order-step bound and at least the brute-force tail
+    rng = np.random.default_rng(16)
+    tighter = 0
+    for _ in range(150):
+        sigma = float(rng.uniform(0.1, 3.0))
+        mod = model(sigma=sigma,
+                    kappa=1.0 - sigma * sigma + float(rng.uniform(0.0, 3.0)))
+        r1, r2 = 10.0 ** rng.uniform(-3.0, math.log10(6.0), 2)
+        beta = 10.0 ** rng.uniform(-4.0, math.log10(20.0))
+        q = KernelQuery(r1=float(r1), r2=float(r2), beta=float(beta),
+                        m_max=int(rng.integers(0, 201)))
+        bound = full_kernel(mod, q, 0.3).tail_bound
+        steps = steps_only_tail(mod, q, 0.3, monkeypatch)
+        assert bound <= steps
+        assert bound >= brute_force_tail(mod, q) * (1.0 - 1e-12)
+        tighter += bound < 1e-3 * steps
+    assert tighter > 0
+    # the README example: the order steps give 3.0e-122 against a true tail
+    # of 5.5e-155
+    q = KernelQuery(r1=1.0, r2=1.0, beta=1.0, m_max=40)
+    mod = model()
+    true_tail = brute_force_tail(mod, q)
+    assert 5e-155 < true_tail < 6e-155
+    assert true_tail <= full_kernel(mod, q, 0.5).tail_bound <= 10 * true_tail
+    assert steps_only_tail(mod, q, 0.5, monkeypatch) > 1e-125
+
+
 def test_full_kernel_rejects_non_finite_dtheta():
     m = model()
     q = KernelQuery(r1=1.0, r2=1.0, beta=1.0, m_max=10)
@@ -512,29 +571,20 @@ def seeded_quadrature_cases(n=4):
                *(float(v) for v in rng.uniform(0.2, 2.0, 2)))
 
 
-def test_quadratures_equal_the_per_point_reference(monkeypatch):
-    # 600 nodes out to r = 20 reach every Bessel branch at these betas; at
-    # sigma = 0.1, nu(1) = 10.01, and some z in (30, 60) take the continued
-    # fraction, which the array route hands to the scalar code
-    calls = []
-    cf = specfun._cf_scaled
-    monkeypatch.setattr(specfun, "_cf_scaled",
-                        lambda nu, x: calls.append(x) or cf(nu, x))
+def test_quadratures_equal_the_per_point_reference():
+    # 600 nodes out to r = 20 reach both Bessel branches at these betas; at
+    # sigma = 0.1, nu(1) = 10.01, and z runs far past 30
     grid = RadialGrid(1e-4, 20.0, 600)
-    cf_in_quadratures = []
     for mdl, mm, beta1, beta2, r1, r2 in [
             *seeded_quadrature_cases(),
             (model(sigma=0.1, kappa=1.0), 1, 0.5, 0.7, 1.3, 0.8)]:
-        start = len(calls)
         res = semigroup_defect(mdl, mm, r1, r2, beta1, beta2, grid)
         traces = [partial_wave_trace(mdl, mm, beta, grid)
                   for beta in (beta1, beta2)]
-        cf_in_quadratures.append(len(calls) - start)
         assert (res.defect, res.boundary_fraction) == semigroup_reference(
             mdl, mm, r1, r2, beta1, beta2, grid)
         assert traces == [trace_reference(mdl, mm, beta, grid)
                           for beta in (beta1, beta2)]
-    assert cf_in_quadratures[-1] > 0
 
 
 def test_closed_kernel_on_arrays_equals_scalar_calls():

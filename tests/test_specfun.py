@@ -165,8 +165,8 @@ def test_bessel_domain_errors():
 
 
 def test_bessel_series_region_matches_mpmath():
-    # the points that moved from Hankel or the continued fraction to the
-    # series: max(12, nu) < x <= max(30, 2 nu), here with nu <= 64
+    # max(12, nu) < x <= max(30, 2 nu), here with nu <= 64: the series up
+    # to x = 30, the expansion above
     rng = np.random.default_rng(13)
     nu = rng.uniform(0.0, 64.0, 400)
     lo = np.maximum(12.0, nu)
@@ -194,8 +194,8 @@ def test_bessel_large_order_is_not_a_silent_zero(nu, x):
 @pytest.mark.parametrize("nu, x", [(1500.0, 100.0), (3000.0, 3001.0),
                                    (10000.0, 20000.0)])
 def test_bessel_below_the_double_range_is_zero(nu, x):
-    # values below 1e-600, where the continued fraction's downward
-    # recurrence overflows: the result is an exact 0, not NaN
+    # values below 1e-600, where the expansion's exponent E is below -1300:
+    # the result is an exact 0, not NaN
     with mpmath.workdps(40):
         assert mpmath.besseli(nu, x) * mpmath.exp(-x) < mpmath.mpf("1e-600")
     assert bessel_i_scaled(nu, x) == 0.0
@@ -225,6 +225,9 @@ _X = st.one_of(st.floats(0.0, 1.0e4),
 @given(nu=st.floats(0.0, 200.0), xs=st.lists(_X, min_size=1, max_size=40))
 @example(nu=0.0, xs=[0.0, 5e-324, 12.0, 30.0, 1.0e4])
 @example(nu=150.3, xs=[150.3, 151.0, 160.0, 200.0, 1.0e4])
+@example(nu=20.0, xs=[40.5, 45.0, 60.0, 1000.0])
+@example(nu=50.0, xs=[100.5, 150.0, 300.0, 5000.0])
+@example(nu=120.0, xs=[240.5, 400.0, 1000.0, 9000.0])
 def test_bessel_array_matches_scalar_bit_for_bit(nu, xs):
     assert_same_bits(nu, xs)
 
@@ -244,18 +247,6 @@ def test_bessel_array_branch_edges(nu):
     assert_same_bits(nu, [x, x[::-1]])
 
 
-def test_bessel_array_hankel_fallback_to_cf():
-    # x > max(30, 2 nu) where the Hankel terms grow before converging: those
-    # elements take the continued fraction, beside elements where Hankel
-    # succeeds
-    for nu, xs in ((20.0, [40.5, 45.0, 60.0, 1000.0]),
-                   (50.0, [100.5, 150.0, 300.0, 5000.0]),
-                   (120.0, [240.5, 400.0, 1000.0, 9000.0])):
-        gave_up = [x for x in xs if specfun._asymptotic_scaled(nu, x) is None]
-        assert 0 < len(gave_up) < len(xs)
-        assert_same_bits(nu, xs)
-
-
 @pytest.mark.parametrize("nu, x", [
     (-0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0),
     (1.0, -2.0), (1.0, math.nan), (1.0, math.inf),
@@ -265,15 +256,6 @@ def test_bessel_array_domain_errors_match_scalar(nu, x):
         bessel_i_scaled(nu, x)
     with pytest.raises(ValueError):
         bessel_i_scaled_array(nu, np.array([1.0, x, 40.0]))
-
-
-def test_bessel_array_non_convergence_raises_bare_arithmetic_error(
-        monkeypatch):
-    # x = 40 > max(30, 2 nu), where the Hankel terms grow: the CF runs
-    monkeypatch.setattr(specfun, "_MAXIT", 3)
-    with pytest.raises(ArithmeticError, match="failed to converge") as exc:
-        bessel_i_scaled_array(10.0, np.array([1.0, 40.0, 200.0]))
-    assert type(exc.value) is ArithmeticError
 
 
 def test_bessel_at_huge_argument():
@@ -287,12 +269,65 @@ def test_bessel_at_huge_argument():
         assert_same_bits(nu, xs)
 
 
+# ------------------------------------------------ the expansion above x = 30
+
+_LARGE_X = st.one_of(st.floats(30.0, 1.0e4, exclude_min=True),
+                     st.floats(4.0, 308.25).map(lambda e: 10.0 ** e))
+
+
 @settings(max_examples=300)
-@given(x=st.floats(30.0, 2.8e307, exclude_min=True))
-def test_hankel_normalization_keeps_its_bits_where_2_pi_x_is_finite(x):
-    # at nu = 1/2 the Hankel series is exactly 1, so the value is the
-    # normalization alone, and it keeps the bits of the direct form
-    assert bessel_i_scaled(0.5, x) == 1.0 / math.sqrt(2.0 * math.pi * x)
+@given(x=_LARGE_X)
+@example(x=math.nextafter(30.0, math.inf))
+@example(x=sys.float_info.max)
+def test_bessel_half_order_closed_form_above_30(x):
+    # e^{-x} I_{1/2}(x) = (1 - e^{-2x}) / sqrt(2 pi x), here from 40-digit
+    # mpmath so that 2 pi x does not overflow
+    with mpmath.workdps(40):
+        ref = float(-mpmath.expm1(-2 * mpmath.mpf(x))
+                    / mpmath.sqrt(2 * mpmath.pi * x))
+    val = bessel_i_scaled(0.5, x)
+    assert val == pytest.approx(ref, rel=2e-15, abs=0.0)
+    assert_same_bits(0.5, [x])
+    assert_orders_same_bits([0.5], x)
+
+
+@settings(max_examples=300)
+@given(nu=st.floats(0.0, 200.0), x=_LARGE_X)
+@example(nu=200.0, x=math.nextafter(30.0, math.inf))
+@example(nu=0.0, x=math.nextafter(30.0, math.inf))
+@example(nu=200.0, x=sys.float_info.max)
+def test_bessel_above_30_matches_mpmath(nu, x):
+    with mpmath.workdps(40):
+        ref = mpmath.besseli(nu, x) * mpmath.exp(-mpmath.mpf(x))
+        assert abs(bessel_i_scaled(nu, x) / ref - 1) <= 1e-13
+
+
+def test_bessel_above_30_seeded_scan():
+    # 3000 points: nu uniform on [0, 200]; 2000 x log-uniform on (30, 1e4],
+    # 1000 on (30, 120], where large orders make E several hundred
+    rng = np.random.default_rng(16)
+    nu = rng.uniform(0.0, 200.0, 3000)
+    x = 30.0 * np.exp(np.concatenate([
+        rng.uniform(0.0, math.log(1.0e4 / 30.0), 2000),
+        rng.uniform(0.0, math.log(4.0), 1000)]))
+    x[x <= 30.0] = math.nextafter(30.0, math.inf)
+    with mpmath.workdps(40):
+        worst = max(abs(bessel_i_scaled(n, v)
+                        / (mpmath.besseli(n, v) * mpmath.exp(-mpmath.mpf(v)))
+                        - 1) for n, v in zip(nu.tolist(), x.tolist()))
+    assert worst <= 1e-13
+
+
+def test_debye_coefficients_are_dlmf_10_41_10():
+    # U_1 and U_2 of DLMF 10.41.10, as rows of coefficients of p^(k + 2i)
+    rows = specfun._debye_coefficients(2)
+    assert rows[1] == [3.0 / 24.0, -5.0 / 24.0]
+    assert rows[2] == [81.0 / 1152.0, -462.0 / 1152.0, 385.0 / 1152.0]
+    # at nu = 0 the expansion is Hankel's: c_k0 = prod (2j-1)^2 / (k! 8^k)
+    for k, row in enumerate(specfun._DEBYE_ROWS):
+        want = math.prod((2 * j - 1) ** 2 for j in range(1, k + 1)) \
+            / (math.factorial(k) * 8 ** k)
+        assert row[0] == pytest.approx(want, rel=1e-15)
 
 
 # --------------------------------------------------- bessel_i_scaled_orders
@@ -309,8 +344,8 @@ def assert_orders_same_bits(orders, x):
 
 @st.composite
 def _orders_at_one_x(draw):
-    # increasing orders, as full_kernel asks for them, with x log-uniform up
-    # to the matrix limit, at the branch edges 30 and 2 nu, or subnormal
+    # increasing orders, as full_kernel asks for them, with x log-uniform
+    # over every double, at the branch edges 30 and 2 nu, or subnormal
     n = draw(st.integers(1, 64))
     start = draw(st.floats(0.0, 200.0))
     steps = draw(st.lists(st.floats(0.0, 8.0), min_size=n - 1,
@@ -320,10 +355,11 @@ def _orders_at_one_x(draw):
         orders.append(min(orders[-1] + step, 200.0))
     edge = draw(st.sampled_from(["log", "log", "30", "2nu", "subnormal"]))
     if edge == "log":
-        x = 10.0 ** draw(st.floats(-300.0, math.log10(specfun._ORDERS_MAX_X)))
+        x = 10.0 ** draw(st.floats(-300.0, 308.25))
     elif edge == "30":
-        x = draw(st.sampled_from([math.nextafter(30.0, 0.0), 30.0,
-                                  math.nextafter(30.0, math.inf)]))
+        x = specfun._SERIES_X
+        x = draw(st.sampled_from([math.nextafter(x, 0.0), x,
+                                  math.nextafter(x, math.inf)]))
     elif edge == "2nu":
         x = 2.0 * draw(st.sampled_from(orders))
         x = draw(st.sampled_from([math.nextafter(x, 0.0), x,
@@ -346,34 +382,20 @@ def test_bessel_orders_match_scalar_bit_for_bit(case, extra_steps):
 
 
 def test_bessel_orders_cover_each_branch():
-    # every way an order leaves the matrix, beside orders it keeps: off the
-    # series branch (Hankel, CF), a leading term below the normal range, and
-    # no stop within the rows
-    x = 40.0
-    orders = [0.5, 10.0, 20.0, 25.0, 400.0]
+    # every way an order leaves the series matrix, beside orders it keeps: a
+    # leading term whose lgamma overflows, and no stop within the rows;
+    # above x = 30 one expansion pass takes every finite order
+    x = 25.0
+    orders = [0.5, 10.0, 400.0, 1e306]
     done = specfun._series_orders(orders, x)
-    assert [v is not None for v in done] == [False, False, True, True, False]
-    assert specfun._asymptotic_scaled(0.5, x) is not None
-    assert specfun._asymptotic_scaled(10.0, x) is None
-    assert_orders_same_bits(orders, x)
+    assert [v is not None for v in done] == [True, True, True, False]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(specfun, "_ORDERS_EXTRA_STEPS", 0)
-        assert specfun._series_orders([0.0, 200.0], 25.0)[0] is None
-        assert specfun._series_orders([0.0, 200.0], 25.0)[1] is not None
-    for x in (0.0, specfun._ORDERS_MAX_X * 2.0, 1.0e4):
+        assert specfun._series_orders([0.0, 200.0], x)[0] is None
+        assert specfun._series_orders([0.0, 200.0], x)[1] is not None
+    assert None not in specfun._debye_orders([0.0, 0.5, 10.0, 1e306], 40.0)
+    for x in (0.0, 40.0, 512.0, 1.0e4):
         assert_orders_same_bits([0.0, 3.0, 150.3, 700.0, 720.0], x)
-
-
-def test_bessel_orders_evaluate_the_cf_only_when_reached(monkeypatch):
-    # at x = 40, orders 30 and 45 are on the series branch and order 10
-    # needs the continued fraction, which cannot converge in 3 steps
-    monkeypatch.setattr(specfun, "_MAXIT", 3)
-    values = bessel_i_scaled_orders([30.0, 45.0, 10.0, 50.0], 40.0)
-    assert next(values) == bessel_i_scaled(30.0, 40.0)
-    assert next(values) == bessel_i_scaled(45.0, 40.0)
-    with pytest.raises(ArithmeticError, match="failed to converge") as exc:
-        next(values)
-    assert type(exc.value) is ArithmeticError
 
 
 @pytest.mark.parametrize("orders, x, error", [
@@ -382,6 +404,8 @@ def test_bessel_orders_evaluate_the_cf_only_when_reached(monkeypatch):
     ([1.0], math.nan, ValueError), ([1.0], math.inf, ValueError),
     # lgamma(nu + 1) of the series' leading term overflows
     ([1.0, 1e306], 1.0, OverflowError),
+    # above x = 30 the bad order is left out of the expansion's pass
+    ([1.0, -0.5], 40.0, ValueError), ([1.0, math.nan], 40.0, ValueError),
 ])
 def test_bessel_orders_errors_at_the_order_reached(orders, x, error):
     with pytest.raises(error):
