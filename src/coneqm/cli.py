@@ -19,7 +19,7 @@ from . import __version__
 from .geometry import (ConeGeometry, PhysicalConstants, cone_from_deficit_angle,
                        cone_from_sigma, cone_from_string_density, deficit_angle,
                        string_density)
-from .grids import RadialGrid
+from .grids import RadialGrid, TanhSinhRule
 from .oracles import (CurvatureTermMode, recombination_ratio,
                       spectrum_match_report, transfer_matrix_kernel)
 from .propagator import (KernelQuery, full_kernel, partial_wave_trace,
@@ -288,19 +288,19 @@ def _suite_transfer(model) -> list:
 
 def _suite_semigroup(model) -> list:
     length = _oscillator_length(model)
-    grid = RadialGrid(1.0e-4 * length, 12.0 * length, 2000)
+    rule = TanhSinhRule(12.0 * length)
     records = []
     b = 0.5 / model.omega
     for m in (0, 1):
         res = semigroup_defect(model, m, 0.7 * length, 1.3 * length,
-                               b, b, grid)
+                               b, b, rule)
         records.append(_record("semigroup", f"composition defect m={m}",
                                0.0, res.defect, 1.0e-8,
                                res.defect < 1.0e-8 and res.grid_adequate))
     for beta_w in (0.5, 1.0, 2.0):
         beta = beta_w / model.omega
         for m in (0, 1, 2):
-            num = partial_wave_trace(model, m, beta, grid)
+            num = partial_wave_trace(model, m, beta, rule)
             exact = partial_wave_trace_exact(model, m, beta)
             records.append(_record(
                 "semigroup", f"trace ladder m={m},omega*beta={beta_w}",
@@ -309,26 +309,22 @@ def _suite_semigroup(model) -> list:
 
 
 def _suite_normalization(model) -> list:
-    from scipy.integrate import quad
     records = []
     pairs = [((0, 0), (0, 0)), ((1, 0), (1, 0)), ((0, 1), (0, 1)),
              ((2, 1), (2, 1)), ((0, 0), (1, 0)), ((0, 1), (2, 1))]
-    upper = 14.0 * _oscillator_length(model)
+    rule = TanhSinhRule(14.0 * _oscillator_length(model))
+    r = rule.values
+    measure = 2.0 * math.pi * rule.trapezoid_weights() * r
+    psi = {}
     for (n1, m1), (n2, m2) in pairs:
-        q1, q2 = QuantumNumbers(n1, m1), QuantumNumbers(n2, m2)
-        same = q1 == q2
-        if same:
-            # both factors are the same call: evaluate psi once per point
-            def integrand(r):
-                psi = radial_wavefunction(model, q1, r)
-                return psi * psi * r
-        else:
-            def integrand(r):
-                return radial_wavefunction(model, q1, r) \
-                    * radial_wavefunction(model, q2, r) * r
-        val, _ = quad(integrand, 0.0, upper,
-                      epsabs=1.0e-12, epsrel=1.0e-12, limit=200)
-        val *= 2.0 * math.pi
+        # psi once per node and per state, shared by the pairs that use it
+        for n, m in ((n1, m1), (n2, m2)):
+            if (n, m) not in psi:
+                qn = QuantumNumbers(n, m)
+                psi[n, m] = np.array([radial_wavefunction(model, qn, x)
+                                      for x in r.tolist()])
+        val = math.fsum(measure * psi[n1, m1] * psi[n2, m2])
+        same = (n1, m1) == (n2, m2)
         expected = 1.0 if same else 0.0
         case = f"<{n1},{m1}|{n2},{m2}>"
         records.append(_record("normalization", case, expected, val,

@@ -32,7 +32,7 @@ import numpy as np
 # coupled_index_nu and ln_gamma are unused here; bench/tracing.py wraps them
 from .geometry import coupled_index_nu  # noqa: F401
 from .geometry import coupled_index_nu_range
-from .grids import RadialGrid
+from .grids import RadialGrid, TanhSinhRule
 from .specfun import (bessel_i_scaled, bessel_i_scaled_array,
                       bessel_i_scaled_orders, exp_each)
 from .specfun import ln_gamma  # noqa: F401
@@ -46,9 +46,11 @@ __all__ = [
     "spectral_vs_closed_relative_error",
 ]
 
-# integrand value at a grid endpoint above this fraction of the peak marks
-# the grid as too short for the composition integral; genuine truncation sits
-# at >~1e-2 while adequate grids sit at <~1e-7 (inner end, slowest power law)
+# integrand value at the first or last node above this fraction of the peak
+# marks the grid or rule as too short for the composition integral; genuine
+# truncation sits at >~1e-2.  An adequate RadialGrid sits at <~1e-7 (inner
+# end, slowest power law); a TanhSinhRule, whose first node is 2e-17 upper,
+# at <~1e-15
 _BOUNDARY_TOL = 1.0e-6
 
 # Early stop of the partial-wave sum (full_kernel).  The bound on the
@@ -427,17 +429,19 @@ def full_kernel(model: OscillatorModel, query: KernelQuery,
 
 def semigroup_defect(model: OscillatorModel, m: int, r1: float, r2: float,
                      beta1: float, beta2: float,
-                     grid: RadialGrid) -> SemigroupResult:
+                     grid: RadialGrid | TanhSinhRule) -> SemigroupResult:
     """Composition-rule defect
     | integral R_m(r2, s; beta2) R_m(s, r1; beta1) s ds  -  R_m(r2, r1; beta1 + beta2) |
-    by trapezoid quadrature on the grid (measure s ds), in units of the
-    kernel scale a = M omega / hbar.
+    by the quadrature ``grid.trapezoid_weights()`` over ``grid.values``
+    (measure s ds), in units of the kernel scale a = M omega / hbar: the
+    trapezoid rule on a ``RadialGrid``, the tanh-sinh rule on a
+    ``TanhSinhRule``, which also resolves an integrand going like s at 0.
 
     Both kernels and the target are divided by a before they are
     multiplied, and the measure is a s ds, so the product cannot underflow
     for a small a; the defect therefore does not depend on the units.
 
-    ``boundary_fraction`` reports the integrand mass sitting at the grid ends
+    ``boundary_fraction`` reports the integrand at the first and last node
     relative to its peak; a large value means the grid does not cover the
     kernel support and the defect is dominated by truncation, which is
     reported as a diagnostic rather than an error.
@@ -460,8 +464,9 @@ def semigroup_defect(model: OscillatorModel, m: int, r1: float, r2: float,
 
 
 def partial_wave_trace(model: OscillatorModel, m: int, beta: float,
-                       grid: RadialGrid) -> float:
-    """Numerical trace integral of R_m(r, r; beta) r dr over the grid."""
+                       grid: RadialGrid | TanhSinhRule) -> float:
+    """Numerical trace integral of R_m(r, r; beta) r dr, by the same
+    quadrature as ``semigroup_defect``."""
     r = grid.values
     return math.fsum(grid.trapezoid_weights()
                      * radial_kernel_closed(model, m, r, r, beta) * r)

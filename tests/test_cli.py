@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
+import coneqm
 from coneqm.cli import main
 
 
@@ -640,3 +645,71 @@ def test_verify_sigma_one_modes_identical(capsys):
     assert [r["actual"] for r in jk["records"]] \
         == [r["actual"] for r in pod["records"]]
     assert jk["pass"] and pod["pass"]
+
+
+# ------------------------------------------------- semigroup and normalization
+
+
+def _records(capsys, *argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    return code, json.loads(out)["records"]
+
+
+@pytest.mark.parametrize("sigma, kappa", [("1", "0"), ("0.45", "0.7975")])
+def test_verify_semigroup_passes_at_zero_order(capsys, sigma, kappa):
+    # nu(0) = 0: flat space, and kappa = 1 - sigma^2
+    code, recs = _records(capsys, "--suite", "semigroup",
+                          "--sigma", sigma, "--kappa", kappa)
+    assert code == 0
+    assert len(recs) == 11 and all(r["pass"] for r in recs)
+
+
+def test_verify_semigroup_plain_trapezoid_fails_at_zero_order(capsys,
+                                                              monkeypatch):
+    # the rule with its endpoint clustering removed: the same 161 nodes
+    # spaced uniformly between its first and last node
+    import coneqm.cli as cli
+    from coneqm.grids import RadialGrid, TanhSinhRule
+
+    def plain(upper):
+        s = TanhSinhRule(upper).values
+        return RadialGrid(float(s[0]), float(s[-1]), len(s))
+    monkeypatch.setattr(cli, "TanhSinhRule", plain)
+    code, recs = _records(capsys, "--suite", "semigroup",
+                          "--sigma", "1", "--kappa", "0")
+    assert code == 1
+    zero = [r for r in recs if "m=0" in r["case"]]
+    assert len(zero) == 4 and not any(r["pass"] for r in zero)
+
+
+def test_verify_semigroup_and_normalization_seeded_scan(capsys):
+    # sigma in [0.1, 3] times kappa in {1 - sigma^2, 1 - sigma^2 + 0.05,
+    # 1, 2}: 32 configurations, every record within its tolerance
+    rng = np.random.default_rng(17)
+    failed = []
+    for sigma in rng.uniform(0.1, 3.0, 8).tolist():
+        low = 1.0 - sigma * sigma
+        for kappa in (low, low + 0.05, 1.0, 2.0):
+            code, recs = _records(capsys, "--suite", "semigroup",
+                                  "--suite", "normalization",
+                                  "--sigma", repr(sigma),
+                                  "--kappa", repr(kappa))
+            bad = [r["case"] for r in recs if not r["pass"]]
+            assert len(recs) == 17 and code == (1 if bad else 0)
+            failed += [(sigma, kappa, case) for case in bad]
+    assert failed == []
+
+
+def test_verify_leaves_scipy_integrate_unimported(tmp_path):
+    # every suite runs on the package's own quadratures
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coneqm.__file__)))
+    report = str(tmp_path / "report.json")
+    script = ("import sys\n"
+              "from coneqm.cli import main\n"
+              f"code = main(['verify', '--output', {report!r}])\n"
+              "print(code, 'scipy.integrate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]

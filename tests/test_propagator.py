@@ -19,7 +19,7 @@ from scipy.special import ive
 
 from coneqm import propagator, specfun
 from coneqm.geometry import ConeGeometry, PhysicalConstants
-from coneqm.grids import RadialGrid
+from coneqm.grids import RadialGrid, TanhSinhRule
 from coneqm.propagator import (KernelQuery, full_kernel, partial_wave_trace,
                                partial_wave_trace_exact, radial_kernel_closed,
                                radial_kernel_spectral, semigroup_defect,
@@ -541,6 +541,46 @@ def test_semigroup_truncated_grid_fires_diagnostic():
     bad = semigroup_defect(m, 1, 0.7, 1.3, 0.5, 0.5,
                            RadialGrid(1e-4, 2.0, 2000))
     assert good.grid_adequate
+    assert not bad.grid_adequate
+    assert bad.defect > good.defect
+    assert bad.boundary_fraction > 1e-3
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 3.0, 10.0])
+def test_tanh_sinh_rule_integrates_gamma_moments(nu):
+    # integral_0^U s^(2 nu + 1) e^(-s^2) ds = Gamma(nu + 1)/2, the shape of
+    # |psi_0m|^2 r at order nu; the tail past U = 12 is below e^-140
+    rule = TanhSinhRule(12.0)
+    s = rule.values
+    got = math.fsum(rule.trapezoid_weights() * s ** (2.0 * nu + 1.0)
+                    * np.exp(-s * s))
+    exact = math.gamma(nu + 1.0) / 2.0
+    assert abs(got - exact) <= 1e-14 * exact
+
+
+def test_tanh_sinh_rule_nodes_and_weights():
+    rule = TanhSinhRule(12.0)
+    s, w = rule.values, rule.trapezoid_weights()
+    assert s.shape == w.shape == (161,)
+    assert 0.0 < s[0] < 1e-15 and s[-1] == 12.0
+    assert np.all(np.diff(s) >= 0.0) and np.all(w > 0.0)
+    # symmetric in t: the rule is exact for 1 and s
+    assert math.fsum(w) == pytest.approx(12.0, rel=1e-15)
+    assert math.fsum(w * s) == pytest.approx(72.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("upper", [0.0, -1.0, math.nan, math.inf, True])
+def test_tanh_sinh_rule_rejects_bad_upper(upper):
+    with pytest.raises(ValueError):
+        TanhSinhRule(upper)
+
+
+def test_semigroup_truncated_rule_fires_diagnostic():
+    m = model()
+    good = semigroup_defect(m, 1, 0.7, 1.3, 0.5, 0.5, TanhSinhRule(12.0))
+    bad = semigroup_defect(m, 1, 0.7, 1.3, 0.5, 0.5, TanhSinhRule(2.0))
+    assert good.grid_adequate
+    assert good.defect < 1e-14
     assert not bad.grid_adequate
     assert bad.defect > good.defect
     assert bad.boundary_fraction > 1e-3
