@@ -6,9 +6,12 @@ which overrides the natural-unit defaults (sigma=0.5, omega=kappa=mass=hbar=1).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 requested tolerance not achievable.
+
+One parser per process; ``main`` finds ``_cmd_<subcommand>`` at call time.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -354,6 +357,7 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="coneqm",
@@ -368,7 +372,6 @@ def _build_parser():
     p.add_argument("--g-eta", dest="g_eta", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("spectrum", help="enumerate bound states")
     _add_model_flags(p)
@@ -376,7 +379,6 @@ def _build_parser():
     p.add_argument("--m-max", dest="m_max", type=int, default=6)
     p.add_argument("--natural", action="store_true",
                    help="report energies in units of hbar*omega")
-    p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="sample an eigenfunction")
     _add_model_flags(p)
@@ -385,7 +387,6 @@ def _build_parser():
     p.add_argument("--r-min", dest="r_min", type=float, default=0.0)
     p.add_argument("--r-max", dest="r_max", type=float, default=6.0)
     p.add_argument("--points", type=int, default=121)
-    p.set_defaults(func=_cmd_wavefunction)
 
     p = sub.add_parser("kernel", help="evaluate the Euclidean kernel")
     _add_model_flags(p)
@@ -396,7 +397,6 @@ def _build_parser():
     p.add_argument("--m-max", dest="m_max", type=int, default=40)
     p.add_argument("--tail-tol", dest="tail_tol", type=float,
                    help="fail (exit 3) if the tail bound exceeds this")
-    p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("verify", help="run the oracle verification suites")
     _add_model_flags(p)
@@ -405,15 +405,13 @@ def _build_parser():
     p.add_argument("--mode", choices=("jensen-koppe", "podolsky"),
                    default="jensen-koppe",
                    help="curvature term for the spectrum suite")
-    p.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except ValueError as exc:
         sys.stderr.write(f"coneqm: {exc}\n")
         return 2

@@ -72,6 +72,9 @@ class RadialGrid:
 # nothing.
 _TANH_SINH_NODES = 161
 _TANH_SINH_T_MAX = 3.2
+_TANH_SINH_T = np.linspace(-_TANH_SINH_T_MAX, _TANH_SINH_T_MAX,
+                           _TANH_SINH_NODES)
+_TANH_SINH_U = 0.5 * math.pi * np.sinh(_TANH_SINH_T)     # (pi/2) sinh t
 
 
 @dataclass(frozen=True)
@@ -92,20 +95,13 @@ class TanhSinhRule:
                 or not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"upper must be a finite real > 0, got {v!r}")
 
-    @staticmethod
-    def _abscissae():
-        t = np.linspace(-_TANH_SINH_T_MAX, _TANH_SINH_T_MAX, _TANH_SINH_NODES)
-        return t, 0.5 * math.pi * np.sinh(t)
-
     @property
     def values(self) -> np.ndarray:
-        _, u = self._abscissae()
         # 1 + e^{-2u} instead of (1 + tanh u)/2 keeps the nodes near 0 exact
-        return self.upper / (1.0 + np.exp(-2.0 * u))
+        return self.upper / (1.0 + np.exp(-2.0 * _TANH_SINH_U))
 
     def trapezoid_weights(self) -> np.ndarray:
-        t, u = self._abscissae()
         h = 2.0 * _TANH_SINH_T_MAX / (_TANH_SINH_NODES - 1)
-        cosh_u = np.cosh(u)
-        return h * 0.5 * math.pi * np.cosh(t) * self.upper \
+        cosh_u = np.cosh(_TANH_SINH_U)
+        return h * 0.5 * math.pi * np.cosh(_TANH_SINH_T) * self.upper \
             / (2.0 * cosh_u * cosh_u)

@@ -431,6 +431,10 @@ class TransferMatrixResult:
     resolution_ok: bool
 
 
+# short-time entries below this are set to 0: subnormals slow the products
+_SUBNORMAL_BELOW = np.finfo(float).tiny
+
+
 def _short_time_matrix(model: OscillatorModel, m: int, r: np.ndarray,
                        eps: float) -> np.ndarray:
     # Euclidean short-time m-channel kernel on the grid; the identity
@@ -454,6 +458,7 @@ def _short_time_matrix(model: OscillatorModel, m: int, r: np.ndarray,
     np.exp(kern, out=kern)
     kern *= (M / (hbar * eps)) * s
     kern *= bessel
+    kern[kern < _SUBNORMAL_BELOW] = 0.0
     return kern
 
 

@@ -35,12 +35,10 @@ Gaussian, so working with the scaled value avoids overflow entirely.
 ``bessel_i_scaled_orders`` many orders at one x, as in the partial-wave sum
 of ``full_kernel``.  Both equal the scalar route bit for bit:
 
-* the array route runs the series loop on all of its x <= 30 elements at
-  once, under a mask of the elements still iterating, so each element sees
-  the scalar loop's operations and stopping test;
-* the orders route forms its x <= 30 series as a matrix of the scalar
-  loop's term ratios, whose cumulative products and sums along k are the
-  scalar loop's terms and partial totals, operation for operation;
+* both form their x <= 30 series as a matrix of the scalar loop's term
+  ratios, a column per order or per x, whose products and sums along k are
+  the loop's terms and totals operation for operation, and read each
+  column's stop off it; a column that does not stop there goes scalar;
 * both evaluate the expansion of all their x > 30 elements in one numpy
   pass, in the scalar route's order of operations.
 
@@ -56,12 +54,19 @@ import numpy as np
 
 # the series for 0 < x <= _SERIES_X, the expansion above, for every order
 _SERIES_X = 30.0
-# bessel_i_scaled_orders forms its series matrix with int(x) +
-# _ORDERS_EXTRA_STEPS steps of k; the scalar loop stops within that many
-# steps (44 at x = 30, nu = 0).  An order that does not stop in the matrix
-# goes to the scalar route.
+# the series matrices take int(x) + _ORDERS_EXTRA_STEPS steps of k, x the
+# largest argument; the scalar loop stops within that many steps (44 at
+# x = 30, nu = 0).  A column that does not stop in the matrix goes to the
+# scalar route.
 _ORDERS_EXTRA_STEPS = 24
 _ORDERS_K = np.arange(1.0, _SERIES_X + _ORDERS_EXTRA_STEPS + 1.0)[:, None]
+# bessel_i_scaled_array's series tables hold 2048 x at most: as fast as
+# 1024 or 4096 at 1,600 and 100,000 x, with a tracemalloc peak at 100,000 x
+# of 7.5 MB against 9.7 MB for 4096.  From _ROWS_FROM columns on a table
+# fills a row at a time, below by accumulate: 181 against 106 us at 161
+# columns, 211 against 190 at 300, 248 against 301 at 500 (nu = 0.5)
+_ARRAY_CHUNK = 2048
+_ROWS_FROM = 320
 # below this x, 0.5 * x rounds in the subnormal range (to 0 at x = 2^-1074)
 _HALVES_EXACTLY = 2.0 ** -1021
 _LN2 = math.log(2.0)
@@ -224,13 +229,42 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     return _debye_scaled(nu, x, _SCALAR_OPS)
 
 
+def _series_totals(lead, q, nu, x_max: float):
+    # the scalar loop's total at each column's first stop (term <= 1e-17 *
+    # total), and whether it stopped, with one order (nu) or one q per
+    # column.  Row 0 of the table holds the leading terms, row k <= max(1,
+    # int(x_max) + _ORDERS_EXTRA_STEPS) the ratio q / (k * (k + nu)); their
+    # products and sums along k are the loop's terms and totals.  Narrow
+    # tables accumulate in two calls, wide ones fill a row at a time up to
+    # the stop of the column whose terms fall the slowest (largest ratios)
+    ks = _ORDERS_K[:max(1, int(x_max) + _ORDERS_EXTRA_STEPS)]
+    # one allocation for both tables: 1,100 page faults per 100,000-x array
+    # call against 18,500 with two
+    terms, totals = np.empty((2, len(ks) + 1, len(lead)))
+    terms[0] = lead
+    np.divide(q, (ks + nu) * ks, out=terms[1:])
+    if terms.shape[1] < _ROWS_FROM:
+        terms = np.multiply.accumulate(terms, axis=0)
+        totals = np.add.accumulate(terms, axis=0)
+    else:
+        totals[0] = terms[0]
+        top = int(terms[-1].argmax())
+        for k in range(1, len(terms)):
+            np.multiply(terms[k - 1], terms[k], out=terms[k])
+            np.add(totals[k - 1], terms[k], out=totals[k])
+            if terms[k, top] <= 1.0e-17 * totals[k, top]:
+                terms, totals = terms[:k + 1], totals[:k + 1]
+                break
+    stops = terms[1:] <= 1.0e-17 * totals[1:]
+    first, at = stops.argmax(axis=0), np.arange(stops.shape[1])
+    return stops[first, at], totals[first + 1, at]
+
+
 def _series_orders(orders: list, x: float) -> list:
-    # the series at each order, for 0 < x <= _SERIES_X: row 0 holds the
-    # leading terms, row k the scalar loop's ratio q / (k * (k + nu));
-    # np.multiply.accumulate and np.add.accumulate along k repeat the loop's
-    # term *= and total +=.  None where the order is left to the scalar
-    # route: not a finite order >= 0, a leading term whose lgamma overflows
-    # (the scalar route raises it when reached), or no stop inside the matrix
+    # the series at each order, for 0 < x <= _SERIES_X, by _series_totals.
+    # None where the order is left to the scalar route: not a finite order
+    # >= 0, a leading term whose lgamma overflows (the scalar route raises
+    # it when reached), or no stop inside the matrix
     out = [None] * len(orders)
     log_half_x = math.log(0.5 * x) if x >= _HALVES_EXACTLY \
         else math.log(x) - _LN2
@@ -246,21 +280,9 @@ def _series_orders(orders: list, x: float) -> list:
             lead.append(term)
     if not cols:
         return out
-    steps = int(x) + _ORDERS_EXTRA_STEPS
-    k = _ORDERS_K[:steps]
-    den = k + np.array(col_nus)
-    den *= k
-    ratios = np.empty((steps + 1, len(cols)))
-    ratios[0] = lead
-    np.divide(0.25 * x * x, den, out=ratios[1:])
-    terms = np.multiply.accumulate(ratios, axis=0)
-    totals = np.add.accumulate(terms, axis=0)
-    stops = terms[1:] <= 1.0e-17 * totals[1:]
-    first = stops.argmax(axis=0)
-    at = np.arange(len(cols))
-    for i, stopped, total in zip(cols, stops[first, at].tolist(),
-                                 totals[first + 1, at].tolist()):
-        if stopped:
+    stopped, totals = _series_totals(lead, 0.25 * x * x, np.array(col_nus), x)
+    for i, stop, total in zip(cols, stopped.tolist(), totals.tolist()):
+        if stop:
             out[i] = total
     return out
 
@@ -298,25 +320,22 @@ def bessel_i_scaled_orders(orders, x: float):
         yield bessel_i_scaled(nu, x) if val is None else val
 
 
-def _series_scaled_array(nu: float, x: np.ndarray) -> np.ndarray:
-    # _series_scaled's loop statement for statement on the whole array; a
-    # mask marks the elements still iterating, and np.where freezes the
-    # total of an element from its scalar stopping test on
-    log_half_x = np.fromiter(
-        (math.log(0.5 * v) if v >= _HALVES_EXACTLY else math.log(v) - _LN2
-         for v in x.tolist()), float, x.size)
-    term = exp_each(nu * log_half_x - math.lgamma(nu + 1.0) - x)
-    # a leading term of 0 is never live, so its total stays 0
-    live = term != 0.0
-    total = term.copy()
-    q = 0.25 * x * x
-    k = 0
-    while live.any() and k < 20000:
-        k += 1
-        term *= q / (k * (k + nu))
-        total = np.where(live, total + term, total)
-        live &= ~(term <= 1.0e-17 * total)
-    return total
+def _series_array(nu: float, x: np.ndarray) -> np.ndarray:
+    # the series at one order for each 0 < x <= _SERIES_X, per chunk of x;
+    # an x that does not stop in its table takes the scalar loop
+    tiny = x < _HALVES_EXACTLY
+    log_half_x = _map_each(math.log, np.where(tiny, x, 0.5 * x))
+    log_half_x[tiny] -= _LN2
+    lead = exp_each(nu * log_half_x - math.lgamma(nu + 1.0) - x)
+    out = np.empty_like(x)
+    for start in range(0, x.size, _ARRAY_CHUNK):
+        part = slice(start, start + _ARRAY_CHUNK)
+        xs = x[part]
+        stopped, out[part] = _series_totals(lead[part], 0.25 * xs * xs, nu,
+                                            xs.max())
+        for i in np.flatnonzero(~stopped).tolist():
+            out[start + i] = _series_scaled(nu, float(xs[i]))
+    return out
 
 
 def bessel_i_scaled_array(nu: float, x) -> np.ndarray:
@@ -338,7 +357,7 @@ def bessel_i_scaled_array(nu: float, x) -> np.ndarray:
     out = np.full_like(flat, 1.0 if nu == 0.0 else 0.0)
     series = (flat > 0.0) & (flat <= _SERIES_X)
     if series.any():
-        out[series] = _series_scaled_array(nu, flat[series])
+        out[series] = _series_array(nu, flat[series])
     debye = flat > _SERIES_X
     if debye.any():
         out[debye] = _debye_scaled(nu, flat[debye], _ARRAY_OPS)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -559,6 +560,75 @@ def test_outputs_are_byte_identical_across_runs(capsys):
     _, k1, _ = run(capsys, *kargs)
     _, k2, _ = run(capsys, *kargs)
     assert k1 == k2
+
+
+# ------------------------------------------------- one parser per process
+
+
+def suites_of(out):
+    return {rec["suite"] for rec in json.loads(out)["records"]}
+
+
+def test_parser_reuse_keeps_calls_apart(capsys):
+    from coneqm import cli
+    code, out, _ = run(capsys, "verify", "--suite", "recombination",
+                       "--suite", "normalization")
+    assert code == 0 and suites_of(out) == {"recombination", "normalization"}
+    assert cli._build_parser() is cli._build_parser()
+    # the repeatable --suite starts empty on every call
+    code, out, _ = run(capsys, "verify", "--suite", "semigroup")
+    assert code == 0 and suites_of(out) == {"semigroup"}
+    code, out, _ = run(capsys, "verify", "--suite", "recombination")
+    assert code == 0 and suites_of(out) == {"recombination"}
+
+
+def test_parser_reuse_after_a_usage_error(capsys):
+    kargs = ("kernel", "--r1", "1", "--r2", "1.3", "--beta", "0.9")
+    _, before, _ = run(capsys, *kargs)
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--r1", "1", "--beta", "0.9", "--m-max", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: coneqm kernel")
+    code, after, err = run(capsys, *kargs)
+    assert (code, after, err) == (0, before, "")
+
+
+def test_monkeypatched_command_runs_after_an_earlier_call(capsys,
+                                                         monkeypatch):
+    from coneqm import cli
+    assert run(capsys, "kernel", "--r1", "1", "--r2", "1", "--beta",
+               "1")[0] == 0
+    monkeypatch.setattr(cli, "_cmd_kernel", lambda args: 42)
+    assert main(["kernel", "--r1", "1", "--r2", "1", "--beta", "1"]) == 42
+
+
+def test_parser_shared_by_threads_writes_serial_bytes(tmp_path):
+    # two threads per sigma, more threads than cores, switching often
+    def convert(sigma, path):
+        assert main(["convert", "--sigma", sigma, "--output", str(path)]) == 0
+        return path.read_bytes()
+    sigmas = ("0.5", "1.7")
+    serial = {s: convert(s, tmp_path / f"serial-{s}.csv") for s in sigmas}
+    got = {(s, t): [] for s in sigmas for t in range(2)}
+
+    def worker(sigma, t):
+        for i in range(50):
+            got[sigma, t].append(
+                convert(sigma, tmp_path / f"{sigma}-{t}-{i}.csv"))
+    threads = [threading.Thread(target=worker, args=key) for key in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert serial["0.5"] != serial["1.7"]
+    for (s, _), outs in got.items():
+        assert outs == [serial[s]] * 50
 
 
 # ---------------------------------------------------------------- verify

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from coneqm import oracles
 from coneqm.geometry import (ConeGeometry, ImaginaryIndexError,
                              PhysicalConstants, effective_potential)
 from coneqm.grids import RadialGrid
@@ -845,6 +846,33 @@ def test_transfer_deterministic():
     a = transfer_matrix_kernel(m, 1, grid, 0.8, 6).values
     b = transfer_matrix_kernel(m, 1, grid, 0.8, 6).values
     assert np.array_equal(a, b)
+
+
+def test_transfer_short_time_subnormals_are_flushed_without_moving_bits(
+        monkeypatch):
+    # oracle-refine's transfer settings: the short-time kernel has 1,341
+    # (N = 32) and 2,252 (N = 64) subnormal entries before the flush, and
+    # the composed kernels are the same bits with or without them
+    m = model(sigma=0.5, kappa=1.0)
+    grid = RadialGrid(1e-3, 8.0, 450)
+    tiny = np.finfo(float).tiny
+
+    def subnormals(values):
+        return int(np.count_nonzero((values > 0.0) & (values < tiny)))
+    flushed = {n: transfer_matrix_kernel(m, 1, grid, 1.0, n).values
+               for n in (1, 32, 64)}
+    with monkeypatch.context() as mp:
+        mp.setattr(oracles, "_SUBNORMAL_BELOW", 0.0)
+        kept = {n: transfer_matrix_kernel(m, 1, grid, 1.0, n).values
+                for n in (32, 64)}
+        assert [subnormals(oracles._short_time_matrix(
+            m, 1, grid.values, 1.0 / n)) for n in (32, 64)] == [1341, 2252]
+    assert [subnormals(oracles._short_time_matrix(
+        m, 1, grid.values, 1.0 / n)) for n in (32, 64)] == [0, 0]
+    assert subnormals(flushed[1]) == 0
+    for n in (32, 64):
+        assert np.array_equal(flushed[n].view(np.int64),
+                              kept[n].view(np.int64)), n
 
 
 # --------------------------------------------- eigenfunction residual check

@@ -254,6 +254,36 @@ def test_full_kernel_equals_the_whole_m_max_sum(sigma, extra, r1, r2, beta,
         == full_fsum(mod, q, dtheta, -1.0)
 
 
+@settings(max_examples=300)
+@given(sigma=st.floats(0.25, 2.0), extra=st.floats(0.0, 3.0),
+       r1=st.floats(5e-324, 6.0), r2=st.floats(5e-324, 6.0),
+       beta=st.floats(1e-4, 20.0), dtheta=st.floats(0.0, 2.0 * math.pi),
+       m_max=st.sampled_from([0, 1, 10, 40, 80]))
+# value -5.5e-16 with tail 2.1e-16: the terms' error, not the tail, is short
+@example(sigma=1.7297941673233874, extra=1.7386280815449546,
+         r1=2.472210707708877, r2=2.307260458396327, beta=0.20211616602487087,
+         dtheta=3.743997232290313, m_max=80)
+def test_full_kernel_is_finite_symmetric_and_within_its_tail_of_positive(
+        sigma, extra, r1, r2, beta, dtheta, m_max):
+    # the true kernel is positive; the value misses it by at most the
+    # certified tail plus the terms' own error, 1e-13 of each term at most
+    # (specfun's accuracy).  Where the terms cancel to far below their size
+    # that error shows: value + tail_bound reaches -7.8e-16 sum |term| on
+    # 20,000 seeded points, so the tail alone does not cover it.
+    mod = model(sigma=sigma, kappa=1.0 - sigma * sigma + extra)
+    res = full_kernel(mod, KernelQuery(r1=r1, r2=r2, beta=beta,
+                                       m_max=m_max), dtheta)
+    swapped = full_kernel(mod, KernelQuery(r1=r2, r2=r1, beta=beta,
+                                           m_max=m_max), dtheta)
+    assert math.isfinite(res.value) and math.isfinite(res.tail_bound)
+    assert (res.value, res.tail_bound) == (swapped.value, swapped.tail_bound)
+    assert math.copysign(1.0, res.value) == math.copysign(1.0, swapped.value)
+    size = math.fsum([radial_kernel_closed(mod, 0, r1, r2, beta)] + [
+        2.0 * radial_kernel_closed(mod, k, r1, r2, beta)
+        for k in range(1, m_max + 1)]) / (2.0 * math.pi)
+    assert res.value + res.tail_bound >= -1.0e-13 * size
+
+
 def seeded_kernel_cases(n):
     rng = np.random.default_rng(6)
     cases = []

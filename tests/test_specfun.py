@@ -9,6 +9,7 @@ design: its reference is the scalar route, which it must match bit for bit.
 
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -258,6 +259,106 @@ def test_bessel_array_domain_errors_match_scalar(nu, x):
         bessel_i_scaled_array(nu, np.array([1.0, x, 40.0]))
 
 
+_CHUNK = specfun._ARRAY_CHUNK
+_ROWS = specfun._ROWS_FROM
+_ARRAY_ORDERS = [0.0, 0.5, 70.0, 200.0]
+
+
+def series_lead(nu, x):
+    """The series' leading term (x/2)^nu e^{-x} / Gamma(nu + 1), as the
+    scalar route forms it for normal x."""
+    return math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) - x)
+
+
+@pytest.mark.parametrize("nu", _ARRAY_ORDERS)
+@pytest.mark.parametrize("size", [_ROWS - 1, _ROWS, _CHUNK - 1, _CHUNK,
+                                  _CHUNK + 1])
+def test_bessel_array_chunk_edges(nu, size, monkeypatch):
+    # the series tables hold a chunk of x each, and from _ROWS_FROM columns
+    # on they fill a row at a time instead of by accumulate, up to the
+    # largest x's stop; every x stops inside its table
+    x = np.random.default_rng(size).uniform(0.0, 30.0, size)
+    monkeypatch.setattr(specfun, "_series_scaled", None)
+    got = bessel_i_scaled_array(nu, x)
+    monkeypatch.undo()
+    assert_same_bits(nu, x)
+    np.testing.assert_array_equal(got, bessel_i_scaled_array(nu, x))
+
+
+@pytest.mark.parametrize("nu", _ARRAY_ORDERS)
+def test_bessel_array_unsorted_with_repeats(nu):
+    rng = np.random.default_rng(18)
+    x = rng.choice(rng.uniform(0.0, 30.0, 40), 500)
+    assert_same_bits(nu, np.concatenate([x, [30.0, 30.0], x[::-1]]))
+    assert_same_bits(nu, x.reshape(20, 25))
+
+
+@pytest.mark.parametrize("nu", _ARRAY_ORDERS)
+def test_bessel_array_special_points(nu):
+    # x = 30, the smallest double, and leading terms of 0 and subnormal,
+    # among other x and each as the only (so the largest) x of its call
+    grid = np.linspace(0.5, 12.0, 2300)
+    lead = np.array([series_lead(nu, v) for v in grid])
+    zero = grid[lead == 0.0][-3:]
+    sub = grid[(lead > 0.0) & (lead < sys.float_info.min)][:3]
+    if nu == 200.0:
+        assert zero.size == 3 and sub.size == 3
+    special = [30.0, 5e-324, *zero, *sub]
+    assert_same_bits(nu, special + [1.0, 29.0, 5e-324])
+    for v in special:
+        assert_same_bits(nu, [v])
+
+
+@pytest.mark.parametrize("nu", _ARRAY_ORDERS)
+def test_bessel_array_columns_without_a_stop_go_scalar(nu, monkeypatch):
+    # with int(x) steps of k and no allowance, columns run out of rows
+    # before their stop and take the scalar loop instead
+    monkeypatch.setattr(specfun, "_ORDERS_EXTRA_STEPS", 0)
+    x = np.concatenate([np.random.default_rng(7).uniform(0.0, 30.0, 300),
+                        [0.3, 1e-300, 30.0]])
+    wide = np.concatenate([x, x + 1e-3])       # filled a row at a time
+    calls = []
+    series = specfun._series_scaled
+    monkeypatch.setattr(specfun, "_series_scaled",
+                        lambda *a: calls.append(a) or series(*a))
+    for xs, leaves in ((x, nu <= 0.5), (wide, nu <= 0.5),
+                       ([0.3], nu < 200.0)):
+        calls.clear()
+        bessel_i_scaled_array(nu, xs)
+        assert bool(calls) == leaves
+        assert_same_bits(nu, xs)
+
+
+def test_series_table_reports_no_stop_past_the_rows_it_filled(monkeypatch):
+    # a wide table stops filling at its slowest column's stop; a column
+    # that has not stopped by then (here a NaN leading term, which never
+    # does) is reported as not stopped, not read from unfilled rows, whose
+    # totals (inf here) would pass the stop test
+    monkeypatch.setattr(np, "empty", lambda shape: np.full(shape, math.inf))
+    n = _ROWS + 10
+    lead = np.full(n, 1.0)
+    lead[-1] = math.nan
+    q = np.full(n, 4.0)
+    q[-1] = 1.0
+    stopped, totals = specfun._series_totals(lead, q, 0.5, 4.0)
+    assert stopped[:-1].all() and not stopped[-1]
+    want = specfun._series_totals(lead[:2], q[:2], 0.5, 4.0)[1][0]
+    assert (totals[:-1] == want).all()
+
+
+def test_bessel_array_memory_stays_bounded():
+    # the series tables come a chunk of x at a time, so they add little to
+    # the peak of a 100,000-x call: at most twice 7.4 MB
+    x = np.random.default_rng(3).uniform(0.0, 30.0, 100_000)
+    tracemalloc.start()
+    try:
+        bessel_i_scaled_array(0.5, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 7.4e6
+
+
 def test_bessel_at_huge_argument():
     # 2 pi x overflows for x >~ 2.9e307; e^{-x} I_nu(x) is near
     # 1/sqrt(2 pi x) there, about 4e-155, not 0
@@ -396,6 +497,19 @@ def test_bessel_orders_cover_each_branch():
     assert None not in specfun._debye_orders([0.0, 0.5, 10.0, 1e306], 40.0)
     for x in (0.0, 40.0, 512.0, 1.0e4):
         assert_orders_same_bits([0.0, 3.0, 150.3, 700.0, 720.0], x)
+
+
+@pytest.mark.parametrize("extra_steps", [None, 0, 3])
+@pytest.mark.parametrize("x", [5e-324, 0.7, 12.0, 29.5, 30.0])
+def test_bessel_orders_wide_block_fills_row_by_row(x, extra_steps):
+    # from _ROWS_FROM orders on the series table fills a row at a time and
+    # stops at the smallest order's stop, unsorted orders included
+    orders = np.random.default_rng(9).uniform(0.0, 200.0, _ROWS + 40)
+    orders = [0.0, *orders.tolist(), 0.5, 150.3]
+    with pytest.MonkeyPatch.context() as mp:
+        if extra_steps is not None:
+            mp.setattr(specfun, "_ORDERS_EXTRA_STEPS", extra_steps)
+        assert_orders_same_bits(orders, x)
 
 
 @pytest.mark.parametrize("orders, x, error", [
