@@ -17,12 +17,16 @@ Three oracles, all deliberately independent of the closed-form kernel code:
 Bessel evaluations here go through scipy (AMOS) rather than the package's own
 special-function layer, keeping the two routes of every comparison
 independent.  Eigenvalues come from LAPACK's tridiagonal bisection on Sturm
-sequences: dstebz, reached through scipy's Cython LAPACK API and called by
-ctypes, which releases the GIL for the call.  The four solves of a
-spectrum_match_report (coarse and refined grid, each also with r_min halved)
-therefore run at the same time on a pool of four threads.  The eigenvalues
-are bit-identical to scipy.linalg.eigh_tridiagonal with index selection and
-lapack_driver="stebz", which makes the same LAPACK call.
+sequences: dstebz and dlaebz, reached through scipy's Cython LAPACK API and
+called by ctypes, which releases the GIL for the call, so the solves of a
+spectrum_match_report run side by side on a pool of threads.  Of its four
+grids (coarse and refined, each also with r_min halved), the two coarse ones
+are solved from scratch by dstebz, and their eigenvalues are bit-identical to
+scipy.linalg.eigh_tridiagonal with index selection and lapack_driver="stebz",
+which makes the same LAPACK call.  The two refined grids are bisected by
+dlaebz inside brackets around levels predicted from the coarse solves alone,
+with dstebz's own stopping rule; Sturm counts certify every bracket, and one
+they refuse sends its grid back to dstebz.
 """
 
 import ctypes
@@ -161,41 +165,49 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
 
 
 # dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
-# isplit, work, iwork, info) as scipy.linalg.cython_lapack exports it: a C
-# function, so a ctypes call to it runs with the GIL released
+# isplit, work, iwork, info) and dlaebz(ijob, nitmax, n, mmax, minp, nbmin,
+# abstol, reltol, pivmin, d, e, e2, nval, ab, c, mout, nab, work, iwork, info)
+# as scipy.linalg.cython_lapack exports them: C functions, so a ctypes call to
+# either runs with the GIL released
 _INT_P = ctypes.POINTER(ctypes.c_int)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-_DSTEBZ_ARGS = (ctypes.c_char_p, ctypes.c_char_p, _INT_P, _DOUBLE_P,
-                _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P,
-                _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P,
-                _INT_P)
-_DSTEBZ_PROTOTYPE = ctypes.CFUNCTYPE(None, *_DSTEBZ_ARGS)
+_DSTEBZ_PROTOTYPE = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, ctypes.c_char_p, _INT_P, _DOUBLE_P, _DOUBLE_P,
+    _INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P,
+    _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P)
+_DLAEBZ_PROTOTYPE = ctypes.CFUNCTYPE(
+    None, *(_INT_P,) * 6, *(_DOUBLE_P,) * 6, _INT_P, _DOUBLE_P, _DOUBLE_P,
+    _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P)
 # how the capsule's signature spells each argument type (d is
 # cython_lapack's typedef of double)
 _C_SPELLING = {ctypes.c_char_p: "char *", _INT_P: "int *",
                _DOUBLE_P: "__pyx_t_5scipy_6linalg_13cython_lapack_d *"}
 
 
-def _load_dstebz(capsules):
-    """dstebz from a Cython ``__pyx_capi__`` table, called through
-    _DSTEBZ_PROTOTYPE; ImportError if the capsule's C signature differs."""
-    capsule = capsules["dstebz"]
+def _load_lapack(capsules, name, prototype):
+    """LAPACK routine ``name`` from a Cython ``__pyx_capi__`` table, called
+    through prototype; ImportError if the capsule's C signature differs."""
+    capsule = capsules[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(
         ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
     signature = get_name(capsule)
-    expected = "void (" + ", ".join(_C_SPELLING[t] for t in _DSTEBZ_ARGS) + ")"
+    expected = ("void (" + ", ".join(_C_SPELLING[t]
+                                     for t in prototype._argtypes_) + ")")
     if signature.decode() != expected:
         raise ImportError(
-            f"scipy.linalg.cython_lapack exports dstebz as "
+            f"scipy.linalg.cython_lapack exports {name} as "
             f"{signature.decode()!r}, not as the {expected!r} that "
             "coneqm.oracles calls it with")
-    return _DSTEBZ_PROTOTYPE(get_pointer(capsule, signature))
+    return prototype(get_pointer(capsule, signature))
 
 
-_dstebz = _load_dstebz(cython_lapack.__pyx_capi__)
+_dstebz = _load_lapack(cython_lapack.__pyx_capi__, "dstebz",
+                       _DSTEBZ_PROTOTYPE)
+_dlaebz = _load_lapack(cython_lapack.__pyx_capi__, "dlaebz",
+                       _DLAEBZ_PROTOTYPE)
 
 
 def _real_vector(values, length: int, name: str) -> np.ndarray:
@@ -253,17 +265,142 @@ def eigen_lowest(matrix: TridiagonalMatrix, k: int) -> np.ndarray:
     return w[:k]
 
 
+# threads of the solver pool: a report's two coarse solves run side by side,
+# and each refined grid's brackets are split into this many parts
+_WORKERS = 4
+
+
 def _start_solver_pool():
-    # one worker per solve of a spectrum_match_report; rebuilt in a forked
-    # child, which inherits the pool but none of its threads
+    # rebuilt in a forked child, which inherits the pool but none of its
+    # threads
     global _SOLVES
-    _SOLVES = ThreadPoolExecutor(max_workers=4,
+    _SOLVES = ThreadPoolExecutor(max_workers=_WORKERS,
                                  thread_name_prefix="coneqm-eigen")
 
 
 _start_solver_pool()
 if hasattr(os, "register_at_fork"):      # absent where there is no fork
     os.register_at_fork(after_in_child=_start_solver_pool)
+
+
+# dstebz's constants for a double-precision matrix: DLAMCH('P'), DLAMCH('S'),
+# the factor that widens its Gershgorin bounds, and RTOLI = 2 ulp
+_ULP = float(np.finfo(np.float64).eps)
+_SAFE_MIN = float(np.finfo(np.float64).tiny)
+_FUDGE = 2.1
+_RTOLI = 2.0 * _ULP
+# A bracket that the Sturm counts refuse is widened _WIDEN-fold, at most
+# _WIDENINGS times; then its grid is solved by eigen_lowest.  Three
+# widenings take the halved-r_min brackets from 2^-20 to 2^-8 of the level
+# distance, past the largest share measured below.
+_WIDEN = 16.0
+_WIDENINGS = 3
+
+
+def _sturm_setup(d: np.ndarray, e: np.ndarray):
+    """(e^2, pivmin, atoli) as dstebz forms them for a matrix that it keeps
+    whole, or None when dstebz would split the matrix into blocks."""
+    e2 = e * e
+    if np.any(np.abs(d[1:] * d[:-1]) * _ULP ** 2 + _SAFE_MIN > e2):
+        return None
+    pivmin = max(1.0, float(e2.max(initial=0.0))) * _SAFE_MIN
+    ae = np.abs(e)
+    below = np.concatenate(([0.0], ae))
+    above = np.concatenate((ae, [0.0]))
+    gu = float(np.max(d + below + above))
+    gl = float(np.min(d - below - above))
+    slack = _FUDGE * max(abs(gl), abs(gu)) * _ULP * len(d)
+    gl = gl - slack - _FUDGE * pivmin
+    gu = gu + slack + _FUDGE * pivmin
+    return e2, pivmin, _ULP * max(abs(gl), abs(gu))
+
+
+def _bisect_brackets(d, e, e2, pivmin, atoli, first, centres, half_widths,
+                     widenings):
+    """Levels first, first + 1, ... of the tridiagonal matrix (d, e), level
+    first + j bisected inside centres[j] +- half_widths[j].
+
+    Two calls to LAPACK dlaebz.  IJOB=1 counts the Sturm sequence at both
+    ends of each bracket, which must have exactly first + j and first + j + 1
+    eigenvalues below them; a refused bracket is widened _WIDEN-fold, at
+    most ``widenings`` times.  IJOB=2 then bisects every bracket with
+    dstebz's stopping rule (abstol atoli, reltol 2 ulp, the same pivmin).
+    None when a bracket stays refused or dlaebz does not converge.
+    """
+    n, count = len(d), len(centres)
+    level = np.arange(first, first + count)
+    half = np.array(half_widths, dtype=np.float64)
+    nab = np.empty((2, count), dtype=np.intc)   # Fortran NAB(count, 2)
+    c = np.empty(count)
+    work = np.empty(count)
+    iwork = np.empty(count, dtype=np.intc)
+    mout, info = ctypes.c_int(), ctypes.c_int()
+
+    def call(ijob, nitmax, ab):
+        _dlaebz(ctypes.byref(ctypes.c_int(ijob)),
+                ctypes.byref(ctypes.c_int(nitmax)),
+                ctypes.byref(ctypes.c_int(n)),
+                ctypes.byref(ctypes.c_int(count)),
+                ctypes.byref(ctypes.c_int(count)),
+                ctypes.byref(ctypes.c_int(0)),          # scalar loop only
+                ctypes.byref(ctypes.c_double(atoli)),
+                ctypes.byref(ctypes.c_double(_RTOLI)),
+                ctypes.byref(ctypes.c_double(pivmin)),
+                d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
+                e2.ctypes.data_as(_DOUBLE_P),
+                iwork.ctypes.data_as(_INT_P),           # NVAL: unused
+                ab.ctypes.data_as(_DOUBLE_P), c.ctypes.data_as(_DOUBLE_P),
+                ctypes.byref(mout), nab.ctypes.data_as(_INT_P),
+                work.ctypes.data_as(_DOUBLE_P), iwork.ctypes.data_as(_INT_P),
+                ctypes.byref(info))
+
+    for _ in range(widenings + 1):
+        ab = np.array([centres - half, centres + half])   # AB(count, 2)
+        call(1, 0, ab)
+        refused = (nab[0] != level) | (nab[1] != level + 1)
+        if not refused.any():
+            break
+        half[refused] *= _WIDEN
+    else:
+        return None
+    # dstebz's iteration cap for an interval of this width
+    width = float(np.max(ab[1] - ab[0]))
+    nitmax = int((math.log(width + pivmin) - math.log(pivmin))
+                 / math.log(2.0)) + 2
+    call(2, nitmax, ab)
+    if info.value != 0 or mout.value != count:
+        return None
+    levels = np.empty(count)
+    # dlaebz moves converged intervals to the front; NAB says whose each is
+    levels[nab[0] - first] = 0.5 * (ab[0] + ab[1])
+    return levels
+
+
+def _eigen_near(matrix: TridiagonalMatrix, centres: np.ndarray,
+                half_widths: np.ndarray,
+                widenings: int = _WIDENINGS) -> np.ndarray:
+    """The len(centres) smallest eigenvalues, ascending, each bisected inside
+    its bracket centres[i] +- half_widths[i].
+
+    The brackets are split into _WORKERS parts, solved by _bisect_brackets
+    on the solver pool.  Each level is certified by Sturm counts and located
+    as dstebz locates it, so it lies within dstebz's absolute tolerance of
+    eigen_lowest's value.  When the counts refuse a bracket after
+    ``widenings`` widenings, or dstebz would split the matrix, the whole
+    matrix is solved by eigen_lowest instead, bit for bit.
+    """
+    k = len(centres)
+    d = _real_vector(matrix.diagonal, matrix.dimension, "diagonal")
+    e = _real_vector(matrix.offdiagonal, matrix.dimension - 1, "offdiagonal")
+    setup = _sturm_setup(d, e)
+    if setup is not None:
+        jobs = [_SOLVES.submit(_bisect_brackets, d, e, *setup, int(part[0]),
+                               centres[part], half_widths[part], widenings)
+                for part in np.array_split(np.arange(k), min(k, _WORKERS))]
+        parts = [job.result() for job in jobs]
+        if all(part is not None for part in parts):
+            return np.concatenate(parts)
+    return _SOLVES.submit(eigen_lowest, matrix, k).result()
 
 
 def podolsky_index(model: OscillatorModel, m: int) -> float:
@@ -315,6 +452,52 @@ def _richardson(e_coarse: np.ndarray, e_fine: np.ndarray):
     return extrapolated, disc_est
 
 
+# Half-widths of the refined grids' brackets, as shares of the distance
+# from each coarse level to its nearest neighbour (the level's own magnitude
+# when it is alone).  Measured with eigen_lowest on all four grids: on the
+# ten grids of a 4000-point, k = 20 report at sigma = 0.5, kappa = 1 (m 0-4,
+# both modes) the refined levels lie within 2^-11.5 of that distance from
+# the coarse ones, and the halved-r_min refined levels within 2^-19.9 of
+# fine + (half_coarse - coarse), one grid of ten beyond 2^-20.  On 480
+# 2001-point, k = 4 grids at sigma in [0.3, 2] and kappa 1 or 2 they reach
+# 2^-9.1 and 2^-12.0, and 19 and 167 of those grids need a widening.  A
+# widening costs two Sturm counts and four more bisection steps on the
+# brackets it widens; a wider start would cost every bracket those steps.
+_FINE_SHARE = 2.0 ** -11
+_HALF_FINE_SHARE = 2.0 ** -20
+
+
+def _level_gaps(levels: np.ndarray) -> np.ndarray:
+    if len(levels) == 1:
+        return np.abs(levels)
+    step = np.diff(levels)
+    return np.minimum(np.concatenate((step[:1], step)),
+                      np.concatenate((step, step[-1:])))
+
+
+def _report_levels(matrices, k: int):
+    """k lowest levels of a report's coarse, refined, halved-r_min coarse
+    and halved-r_min refined matrices, in that order.
+
+    The two coarse grids are solved from scratch by eigen_lowest, side by
+    side on the pool (looked up in the module at call time).  The refined
+    grid is then bisected in brackets around the coarse levels, and the
+    halved-r_min refined grid around fine + (half_coarse - coarse).  The
+    brackets come from these solves alone.  An error in any solve is raised
+    here as it is.
+    """
+    coarse_m, fine_m, half_m, half_fine_m = matrices
+    coarse_job = _SOLVES.submit(eigen_lowest, coarse_m, k)
+    half_job = _SOLVES.submit(eigen_lowest, half_m, k)
+    coarse = coarse_job.result()
+    gaps = _level_gaps(coarse)
+    fine = _eigen_near(fine_m, coarse, _FINE_SHARE * gaps)
+    half_coarse = half_job.result()
+    half_fine = _eigen_near(half_fine_m, fine + (half_coarse - coarse),
+                            _HALF_FINE_SHARE * gaps)
+    return coarse, fine, half_coarse, half_fine
+
+
 def spectrum_match_report(model: OscillatorModel, m: int,
                           mode: CurvatureTermMode, grid: RadialGrid,
                           k: int) -> SpectrumMatchReport:
@@ -337,8 +520,12 @@ def spectrum_match_report(model: OscillatorModel, m: int,
     The four matrices (coarse and refined, each also with r_min halved) are
     built in the calling thread and solved in units of hbar omega, so that
     the bisection's squares of the off-diagonal stay in the double range at
-    any omega; their four eigen-solves run at the same time on a pool of
-    four threads, and an error in one of them is raised here as it is.
+    any omega.  The two coarse matrices are solved from scratch by
+    eigen_lowest, side by side on the solver pool, and their levels are
+    bit-identical to eigh_tridiagonal's.  The two refined matrices are
+    bisected only inside brackets around levels those solves predict, each
+    level certified by Sturm counts and within dstebz's absolute tolerance
+    of eigen_lowest's value.  An error in any solve is raised here as it is.
     """
     hbar_omega = model.consts.hbar * model.omega
     half_grid = RadialGrid(0.5 * grid.r_min, grid.r_max, grid.points)
@@ -348,11 +535,8 @@ def spectrum_match_report(model: OscillatorModel, m: int,
         matrices.append(TridiagonalMatrix(
             diagonal=mat.diagonal / hbar_omega,
             offdiagonal=mat.offdiagonal / hbar_omega))
-    # eigen_lowest is looked up in the module at call time, as it was when
-    # called directly
-    solves = [_SOLVES.submit(eigen_lowest, mat, k) for mat in matrices]
     coarse, fine, half_coarse, half_fine = [
-        s.result() * hbar_omega for s in solves]
+        levels * hbar_omega for levels in _report_levels(matrices, k)]
     e_rich, disc_est = _richardson(coarse, fine)
     e_rich_half, _ = _richardson(half_coarse, half_fine)
 

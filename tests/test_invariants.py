@@ -5,7 +5,9 @@
     from ``coneqm.specfun`` or ``coneqm.propagator``.
 (b) The transfer matrix never receives nu(m, sigma): the bodies that build
     and compose its short-time kernels name none of the functions that
-    compute an effective order.
+    compute an effective order.  Likewise the eigensolver's refined-grid
+    brackets come only from its own solves: the bodies that form and
+    bisect them name neither an effective order nor the analytic energy.
 
 Every import statement counts, at module level or inside a function.
 """
@@ -23,6 +25,9 @@ CLOSED_FORM = ("geometry", "grids", "specfun", "spectrum", "propagator")
 TRANSFER_BODIES = ("_short_time_matrix", "transfer_matrix_kernel")
 ORDER_NAMES = {"nu", "coupled_index_nu", "podolsky_index", "_quarter_plus_c",
                "_regular_exponent"}
+BRACKET_BODIES = ("_report_levels", "_level_gaps", "_eigen_near",
+                  "_bisect_brackets", "_sturm_setup")
+CLOSED_FORM_NAMES = {"energy", "nu", "coupled_index_nu", "podolsky_index"}
 
 
 def parse(module):
@@ -64,8 +69,8 @@ def test_oracles_import_no_closed_form_kernel_code():
     assert reaches(names, "coneqm.propagator") == []
 
 
-@pytest.mark.parametrize("function", TRANSFER_BODIES)
-def test_transfer_matrix_never_names_an_effective_order(function):
+def names_in(function):
+    """Every name and attribute that the body of oracles.<function> uses."""
     bodies = [node for node in ast.walk(parse("oracles"))
               if isinstance(node, ast.FunctionDef) and node.name == function]
     assert len(bodies) == 1
@@ -73,7 +78,17 @@ def test_transfer_matrix_never_names_an_effective_order(function):
              if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(bodies[0])
               if isinstance(node, ast.Attribute)}
-    assert sorted(named & ORDER_NAMES) == []
+    return named
+
+
+@pytest.mark.parametrize("function", TRANSFER_BODIES)
+def test_transfer_matrix_never_names_an_effective_order(function):
+    assert sorted(names_in(function) & ORDER_NAMES) == []
+
+
+@pytest.mark.parametrize("function", BRACKET_BODIES)
+def test_bracketed_solve_never_names_the_closed_form(function):
+    assert sorted(names_in(function) & CLOSED_FORM_NAMES) == []
 
 
 def test_the_checks_see_an_import_and_an_order():
@@ -90,3 +105,9 @@ def test_the_checks_see_an_import_and_an_order():
         "coneqm.specfun", "coneqm.specfun.bessel_i_scaled"]
     assert {n.attr for n in ast.walk(tree)
             if isinstance(n, ast.Attribute)} & ORDER_NAMES == {"nu"}
+
+
+def test_the_bracket_check_sees_the_closed_form():
+    # the report itself names the analytic ladder it compares against
+    assert names_in("spectrum_match_report") & CLOSED_FORM_NAMES == {
+        "energy", "nu", "podolsky_index"}

@@ -217,9 +217,167 @@ def test_dstebz_signature_is_checked_on_load():
     import coneqm.oracles as oracles
     wrong = cython_lapack.__pyx_capi__["dsterf"]    # (int *, d *, d *, int *)
     with pytest.raises(ImportError, match=r"exports dstebz as 'void \(int \*"):
-        oracles._load_dstebz({"dstebz": wrong})
-    right = oracles._load_dstebz(cython_lapack.__pyx_capi__)
+        oracles._load_lapack({"dstebz": wrong}, "dstebz",
+                             oracles._DSTEBZ_PROTOTYPE)
+    right = oracles._load_lapack(cython_lapack.__pyx_capi__, "dstebz",
+                                 oracles._DSTEBZ_PROTOTYPE)
     assert isinstance(right, oracles._DSTEBZ_PROTOTYPE)
+
+
+def test_dlaebz_signature_is_checked_on_load():
+    from scipy.linalg import cython_lapack
+
+    import coneqm.oracles as oracles
+    # dstebz's signature, which begins with two char *
+    wrong = cython_lapack.__pyx_capi__["dstebz"]
+    with pytest.raises(ImportError, match=r"exports dlaebz as 'void \(char \*"):
+        oracles._load_lapack({"dlaebz": wrong}, "dlaebz",
+                             oracles._DLAEBZ_PROTOTYPE)
+    right = oracles._load_lapack(cython_lapack.__pyx_capi__, "dlaebz",
+                                 oracles._DLAEBZ_PROTOTYPE)
+    assert isinstance(right, oracles._DLAEBZ_PROTOTYPE)
+
+
+# ------------------------------------------------------- bracketed solve
+
+
+def _report_matrices(mdl, m, mode, grid):
+    # the four matrices of a spectrum_match_report, in its order and units
+    hbar_omega = mdl.consts.hbar * mdl.omega
+    half = RadialGrid(0.5 * grid.r_min, grid.r_max, grid.points)
+    out = []
+    for g in (grid, grid.refined(), half, half.refined()):
+        mat = radial_hamiltonian_matrix(mdl, m, mode, g)
+        out.append(_tridiagonal(mat.diagonal / hbar_omega,
+                                mat.offdiagonal / hbar_omega))
+    return out
+
+
+def _atoli(mat):
+    # dstebz's absolute tolerance ulp * max(|GL|, |GU|) from the Gershgorin
+    # bounds; the slack covers its widening of them by ~2 n ulp
+    d, e = mat.diagonal, np.abs(mat.offdiagonal)
+    radius = np.concatenate(([0.0], e)) + np.concatenate((e, [0.0]))
+    bound = max(abs(np.min(d - radius)), abs(np.max(d + radius)))
+    return np.finfo(float).eps * bound * (1.0 + 1e-9)
+
+
+def test_bracketed_report_levels_match_eigen_lowest(monkeypatch):
+    # the coarse grids bit for bit, the refined ones within dstebz's own
+    # tolerance, over a seeded scan of the oracle's matrices; no grid of the
+    # scan needs the fallback, though many need a widening
+    rng = np.random.default_rng(20261019)
+    real = oracles.eigen_lowest
+    solved = []
+
+    def spy(matrix, k):
+        solved.append(matrix.dimension)
+        return real(matrix, k)
+
+    monkeypatch.setattr(oracles, "eigen_lowest", spy)
+    jobs = _dlaebz_jobs(monkeypatch)
+    checked = 0
+    while checked < 30:
+        sigma = float(rng.uniform(0.3, 2.0))
+        kappa = (1.0 - sigma ** 2, 1.0, 2.0)[rng.integers(3)]
+        m = int(rng.integers(5))
+        mode = list(CurvatureTermMode)[rng.integers(2)]
+        points, k = int(rng.integers(300, 4001)), int(rng.integers(1, 21))
+        try:
+            mats = _report_matrices(model(sigma, kappa), m, mode,
+                                    RadialGrid(1e-3, 12.0, points))
+        except ImaginaryIndexError:
+            continue                 # Podolsky m = 0 with kappa < 0
+        solved.clear()
+        got = oracles._report_levels(mats, k)
+        assert sorted(solved) == sorted([points - 2] * 2)
+        label = (sigma, kappa, m, mode, points, k)
+        for i, (mat, levels) in enumerate(zip(mats, got)):
+            ref = real(mat, k)
+            if i in (0, 2):
+                assert levels.tobytes() == ref.tobytes(), label
+            else:
+                assert np.all(np.abs(levels - ref) <= _atoli(mat)), label
+        checked += 1
+    assert jobs.count(1) > jobs.count(2)        # some brackets were widened
+
+
+def _bracket_case():
+    mat = radial_hamiltonian_matrix(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
+                                    RadialGrid(1e-3, 12.0, 4000))
+    levels = eigen_lowest(mat, 6)
+    half = 1e-3 * np.diff(levels).min() * np.ones(6)
+    d = np.ascontiguousarray(mat.diagonal)
+    e = np.ascontiguousarray(mat.offdiagonal)
+    return mat, levels, half, (d, e, *oracles._sturm_setup(d, e))
+
+
+def _dlaebz_jobs(monkeypatch):
+    # the IJOB of every dlaebz call, forwarded to the real routine
+    real = oracles._dlaebz
+    jobs = []
+
+    def spy(ijob, *rest):
+        jobs.append(ijob._obj.value)
+        real(ijob, *rest)
+
+    monkeypatch.setattr(oracles, "_dlaebz", spy)
+    return jobs
+
+
+def test_bracketed_solve_counts_then_bisects(monkeypatch):
+    mat, levels, half, setup = _bracket_case()
+    jobs = _dlaebz_jobs(monkeypatch)
+    got = oracles._bisect_brackets(*setup, 0, levels + 0.3 * half, half, 0)
+    assert jobs == [1, 2]
+    assert np.all(np.abs(got - levels) <= _atoli(mat))
+    # a part of the brackets gives its own levels
+    got = oracles._bisect_brackets(*setup, 2, levels[2:5], half[2:5], 0)
+    assert np.all(np.abs(got - levels[2:5]) <= _atoli(mat))
+
+
+@pytest.mark.parametrize("mutation", ["shifted by a level", "two levels"])
+def test_counts_refuse_a_wrong_bracket_and_the_solve_falls_back(
+        monkeypatch, mutation):
+    mat, levels, half, setup = _bracket_case()
+    centres = levels.copy()
+    if mutation == "shifted by a level":
+        centres[2] = levels[3]
+    else:
+        centres[2] = 0.5 * (levels[2] + levels[3])
+        half[2] = levels[3] - levels[2]
+    jobs = _dlaebz_jobs(monkeypatch)
+    assert oracles._bisect_brackets(*setup, 0, centres, half,
+                                    oracles._WIDENINGS) is None
+    # refused by the counts, every widening too; never bisected
+    assert jobs == [1] * (oracles._WIDENINGS + 1)
+    got = oracles._eigen_near(mat, centres, half)
+    assert got.tobytes() == levels.tobytes()
+
+
+def test_widening_finds_a_missed_level_and_budget_zero_falls_back(
+        monkeypatch):
+    mat, levels, half, setup = _bracket_case()
+    centres = levels.copy()
+    centres[4] += 3.0 * half[4]          # level 4 outside, inside once widened
+    jobs = _dlaebz_jobs(monkeypatch)
+    got = oracles._bisect_brackets(*setup, 0, centres, half, 1)
+    assert jobs == [1, 1, 2]
+    assert np.all(np.abs(got - levels) <= _atoli(mat))
+    assert oracles._bisect_brackets(*setup, 0, centres, half, 0) is None
+    got = oracles._eigen_near(mat, centres, half, widenings=0)
+    assert got.tobytes() == levels.tobytes()
+
+
+def test_bracketed_solve_of_a_matrix_dstebz_splits_falls_back():
+    rng = np.random.default_rng(7)
+    e = rng.normal(size=39)
+    e[17] = 0.0
+    mat = _tridiagonal(rng.normal(size=40), e)
+    levels = eigen_lowest(mat, 5)
+    assert oracles._sturm_setup(mat.diagonal, mat.offdiagonal) is None
+    got = oracles._eigen_near(mat, levels, np.full(5, 1e-3))
+    assert got.tobytes() == levels.tobytes()
 
 
 def test_eigen_flat_oscillator_m1():
@@ -456,37 +614,57 @@ def test_concurrent_reports_equal_serial_reports():
 
 
 def test_report_solves_run_pooled_through_the_module_function(monkeypatch):
+    # the coarse grids through eigen_lowest, the refined ones through the
+    # bracketed solve in min(k, _WORKERS) parts each, all on pool threads
     import threading
 
     import coneqm.oracles as oracles
-    real = oracles.eigen_lowest
-    seen = []
+    real_eigen, real_brackets = oracles.eigen_lowest, oracles._bisect_brackets
+    seen, brackets = [], []
 
     def spy(matrix, k):
         seen.append((matrix.dimension, threading.current_thread().name))
-        return real(matrix, k)
+        return real_eigen(matrix, k)
+
+    def bracket_spy(d, *rest):
+        brackets.append((len(d), threading.current_thread().name))
+        return real_brackets(d, *rest)
 
     monkeypatch.setattr(oracles, "eigen_lowest", spy)
+    monkeypatch.setattr(oracles, "_bisect_brackets", bracket_spy)
     spectrum_match_report(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
                           RadialGrid(1e-3, 12.0, 300), 3)
-    assert sorted(dim for dim, _ in seen) == [298, 298, 597, 597]
-    assert all(name.startswith("coneqm-eigen") for _, name in seen)
+    assert sorted(dim for dim, _ in seen) == [298, 298]
+    assert sorted(dim for dim, _ in brackets) == [597] * 6
+    assert all(name.startswith("coneqm-eigen") for _, name in seen + brackets)
 
 
 def test_pooled_solve_error_reaches_caller_unchanged(monkeypatch):
     import coneqm.oracles as oracles
-    real = oracles.eigen_lowest
+    real_eigen, real_brackets = oracles.eigen_lowest, oracles._bisect_brackets
     boom = RuntimeError("solve failed")
+    args = (model(), 1, CurvatureTermMode.JENSEN_KOPPE,
+            RadialGrid(1e-3, 12.0, 300), 3)
+
+    def failing_brackets(d, *rest):
+        if len(d) == 597:                   # the refined grids' solves
+            raise boom
+        return real_brackets(d, *rest)
+
+    monkeypatch.setattr(oracles, "_bisect_brackets", failing_brackets)
+    with pytest.raises(RuntimeError) as caught:
+        spectrum_match_report(*args)
+    assert caught.value is boom
 
     def failing(matrix, k):
-        if matrix.dimension == 597:         # the refined grids' solves
+        if matrix.dimension == 298:         # the coarse grids' solves
             raise boom
-        return real(matrix, k)
+        return real_eigen(matrix, k)
 
+    monkeypatch.setattr(oracles, "_bisect_brackets", real_brackets)
     monkeypatch.setattr(oracles, "eigen_lowest", failing)
     with pytest.raises(RuntimeError) as caught:
-        spectrum_match_report(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
-                              RadialGrid(1e-3, 12.0, 300), 3)
+        spectrum_match_report(*args)
     assert caught.value is boom
 
 
