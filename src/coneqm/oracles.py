@@ -377,8 +377,7 @@ def _bisect_brackets(d, e, e2, pivmin, atoli, first, centres, half_widths,
 
 
 def _eigen_near(matrix: TridiagonalMatrix, centres: np.ndarray,
-                half_widths: np.ndarray,
-                widenings: int = _WIDENINGS) -> np.ndarray:
+                half_widths: np.ndarray) -> np.ndarray:
     """The len(centres) smallest eigenvalues, ascending, each bisected inside
     its bracket centres[i] +- half_widths[i].
 
@@ -386,7 +385,7 @@ def _eigen_near(matrix: TridiagonalMatrix, centres: np.ndarray,
     on the solver pool.  Each level is certified by Sturm counts and located
     as dstebz locates it, so it lies within dstebz's absolute tolerance of
     eigen_lowest's value.  When the counts refuse a bracket after
-    ``widenings`` widenings, or dstebz would split the matrix, the whole
+    _WIDENINGS widenings, or dstebz would split the matrix, the whole
     matrix is solved by eigen_lowest instead, bit for bit.
     """
     k = len(centres)
@@ -395,7 +394,7 @@ def _eigen_near(matrix: TridiagonalMatrix, centres: np.ndarray,
     setup = _sturm_setup(d, e)
     if setup is not None:
         jobs = [_SOLVES.submit(_bisect_brackets, d, e, *setup, int(part[0]),
-                               centres[part], half_widths[part], widenings)
+                               centres[part], half_widths[part], _WIDENINGS)
                 for part in np.array_split(np.arange(k), min(k, _WORKERS))]
         parts = [job.result() for job in jobs]
         if all(part is not None for part in parts):

@@ -33,7 +33,10 @@ Gaussian, so working with the scaled value avoids overflow entirely.
 
 ``bessel_i_scaled_array`` evaluates one order over a numpy array of x, and
 ``bessel_i_scaled_orders`` many orders at one x, as in the partial-wave sum
-of ``full_kernel``.  Both equal the scalar route bit for bit:
+of ``full_kernel``.  Both check every input before any work, raising what
+the scalar route raises, and return every value from that one call, so a
+wrapper around the call (a tracer's span) holds the whole cost of the
+array or the block of orders.  Both equal the scalar route bit for bit:
 
 * both form their x <= 30 series as a matrix of the scalar loop's term
   ratios, a column per order or per x, whose products and sums along k are
@@ -212,9 +215,11 @@ def _debye_scaled(nu, x, ops):
 def bessel_i_scaled(nu: float, x: float) -> float:
     """Exponentially scaled modified Bessel function e^{-x} I_nu(x).
 
-    Requires nu >= 0 and x >= 0.  Relative accuracy is ~1e-13 over
-    x in [0, 1e4], nu in [0, 200]; above x = 30 the worst measured against
-    40-digit mpmath is 8.8e-14, and it holds up to the largest double.
+    Requires nu >= 0 and x >= 0.  Worst relative error measured against
+    40-digit mpmath for nu in [0, 200], on seeded scans with values in the
+    normal range: 2.1e-13 for 0 < x <= 30 (3000 points, 155 of them above
+    1e-13, all at nu > 70), and 8.8e-14 for x in (30, 1e4] (22,000
+    points), which holds up to the largest double.
     """
     nu = float(nu)
     x = float(x)
@@ -261,63 +266,36 @@ def _series_totals(lead, q, nu, x_max: float):
 
 
 def _series_orders(orders: list, x: float) -> list:
-    # the series at each order, for 0 < x <= _SERIES_X, by _series_totals.
-    # None where the order is left to the scalar route: not a finite order
-    # >= 0, a leading term whose lgamma overflows (the scalar route raises
-    # it when reached), or no stop inside the matrix
-    out = [None] * len(orders)
+    # the series at each order, for 0 < x <= _SERIES_X, by _series_totals;
+    # a column that does not stop inside the table takes the scalar loop
     log_half_x = math.log(0.5 * x) if x >= _HALVES_EXACTLY \
         else math.log(x) - _LN2
-    cols, col_nus, lead = [], [], []
-    for i, nu in enumerate(orders):
-        if 0.0 <= nu < math.inf:
-            try:
-                term = math.exp(nu * log_half_x - math.lgamma(nu + 1.0) - x)
-            except OverflowError:
-                continue
-            cols.append(i)
-            col_nus.append(nu)
-            lead.append(term)
-    if not cols:
-        return out
-    stopped, totals = _series_totals(lead, 0.25 * x * x, np.array(col_nus), x)
-    for i, stop, total in zip(cols, stopped.tolist(), totals.tolist()):
-        if stop:
-            out[i] = total
-    return out
+    lead = [math.exp(nu * log_half_x - math.lgamma(nu + 1.0) - x)
+            for nu in orders]
+    stopped, totals = _series_totals(lead, 0.25 * x * x, np.array(orders), x)
+    return [total if stop else _series_scaled(nu, x)
+            for nu, stop, total in zip(orders, stopped.tolist(),
+                                       totals.tolist())]
 
 
-def _debye_orders(orders: list, x: float) -> list:
-    # the expansion at each finite order >= 0, for _SERIES_X < x < inf, in
-    # one numpy pass; None elsewhere, where the scalar route raises
-    out = [None] * len(orders)
-    cols = [i for i, nu in enumerate(orders) if 0.0 <= nu < math.inf]
-    if cols:
-        vals = _debye_scaled(np.array([orders[i] for i in cols]), x,
-                             _ARRAY_OPS)
-        for i, val in zip(cols, vals.tolist()):
-            out[i] = val
-    return out
-
-
-def bessel_i_scaled_orders(orders, x: float):
-    """Yield ``bessel_i_scaled(nu, x)`` for each nu in orders, bit for bit.
-
-    For finite x > 0 the orders are evaluated together when the first
-    value is asked for.  An order the block leaves out goes to the scalar
-    route when its own value is asked for, so this raises what the scalar
-    route raises, at the order that raises it.
+def bessel_i_scaled_orders(orders, x: float) -> list:
+    """``[bessel_i_scaled(nu, x) for nu in orders]``, bit for bit, in one
+    call: x and every order are checked first, raising what the scalar
+    route raises before any table is built, and then all orders are
+    evaluated together.
     """
     x = float(x)
     orders = [float(nu) for nu in orders]
-    if 0.0 < x <= _SERIES_X:
-        done = _series_orders(orders, x)
-    elif _SERIES_X < x < math.inf:
-        done = _debye_orders(orders, x)
-    else:
-        done = [None] * len(orders)
-    for nu, val in zip(orders, done):
-        yield bessel_i_scaled(nu, x) if val is None else val
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"argument must be a finite real >= 0, got {x!r}")
+    for nu in orders:
+        if not math.isfinite(nu) or nu < 0.0:
+            raise ValueError(f"order must be a finite real >= 0, got {nu!r}")
+    if x == 0.0:
+        return [1.0 if nu == 0.0 else 0.0 for nu in orders]
+    if x <= _SERIES_X:
+        return _series_orders(orders, x)
+    return _debye_scaled(np.array(orders), x, _ARRAY_OPS).tolist()
 
 
 def _series_array(nu: float, x: np.ndarray) -> np.ndarray:

@@ -365,7 +365,8 @@ def test_widening_finds_a_missed_level_and_budget_zero_falls_back(
     assert jobs == [1, 1, 2]
     assert np.all(np.abs(got - levels) <= _atoli(mat))
     assert oracles._bisect_brackets(*setup, 0, centres, half, 0) is None
-    got = oracles._eigen_near(mat, centres, half, widenings=0)
+    monkeypatch.setattr(oracles, "_WIDENINGS", 0)
+    got = oracles._eigen_near(mat, centres, half)
     assert got.tobytes() == levels.tobytes()
 
 

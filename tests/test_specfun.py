@@ -7,8 +7,10 @@ generate its own expected values.  The array route is the one exception by
 design: its reference is the scalar route, which it must match bit for bit.
 """
 
+import functools
 import math
 import sys
+import time
 import tracemalloc
 
 import mpmath
@@ -482,19 +484,36 @@ def test_bessel_orders_match_scalar_bit_for_bit(case, extra_steps):
         assert_orders_same_bits(orders, x)
 
 
-def test_bessel_orders_cover_each_branch():
-    # every way an order leaves the series matrix, beside orders it keeps: a
-    # leading term whose lgamma overflows, and no stop within the rows;
-    # above x = 30 one expansion pass takes every finite order
-    x = 25.0
-    orders = [0.5, 10.0, 400.0, 1e306]
-    done = specfun._series_orders(orders, x)
-    assert [v is not None for v in done] == [True, True, True, False]
+def _spy(monkeypatch, name, calls):
+    # record each call of specfun.<name>, then run it
+    fn = getattr(specfun, name)
+    monkeypatch.setattr(specfun, name,
+                        lambda *a: calls.append((name, a)) or fn(*a))
+
+
+def test_bessel_orders_cover_each_branch(monkeypatch):
+    # x <= 30: one series table for the block, and only the columns that do
+    # not stop inside it go to the scalar series; above x = 30 one
+    # expansion pass takes every order; at x = 0 neither runs
+    calls = []
+    for name in ("_series_totals", "_series_scaled", "_debye_scaled"):
+        _spy(monkeypatch, name, calls)
+
+    def names(orders, x):
+        calls.clear()
+        bessel_i_scaled_orders(orders, x)
+        return [name for name, _ in calls]
+
+    assert names([0.5, 10.0, 400.0], 25.0) == ["_series_totals"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(specfun, "_ORDERS_EXTRA_STEPS", 0)
-        assert specfun._series_orders([0.0, 200.0], x)[0] is None
-        assert specfun._series_orders([0.0, 200.0], x)[1] is not None
-    assert None not in specfun._debye_orders([0.0, 0.5, 10.0, 1e306], 40.0)
+        assert names([0.0, 200.0], 25.0) == ["_series_totals",
+                                             "_series_scaled"]
+        assert calls[1][1] == (0.0, 25.0)
+    assert names([0.0, 0.5, 10.0, 1e306], 40.0) == ["_debye_scaled"]
+    assert calls[0][1][0].tolist() == [0.0, 0.5, 10.0, 1e306]
+    assert names([0.0, 3.0], 0.0) == []
+    monkeypatch.undo()
     for x in (0.0, 40.0, 512.0, 1.0e4):
         assert_orders_same_bits([0.0, 3.0, 150.3, 700.0, 720.0], x)
 
@@ -518,17 +537,61 @@ def test_bessel_orders_wide_block_fills_row_by_row(x, extra_steps):
     ([1.0], math.nan, ValueError), ([1.0], math.inf, ValueError),
     # lgamma(nu + 1) of the series' leading term overflows
     ([1.0, 1e306], 1.0, OverflowError),
-    # above x = 30 the bad order is left out of the expansion's pass
     ([1.0, -0.5], 40.0, ValueError), ([1.0, math.nan], 40.0, ValueError),
 ])
-def test_bessel_orders_errors_at_the_order_reached(orders, x, error):
+def test_bessel_orders_errors_at_the_order_reached(orders, x, error,
+                                                   monkeypatch):
+    # the call raises what the scalar route raises at the bad order or x,
+    # before any series table or expansion pass runs
     with pytest.raises(error):
         bessel_i_scaled(orders[-1], x)
-    values = bessel_i_scaled_orders(orders, x)
-    if len(orders) > 1:
-        assert next(values) == bessel_i_scaled(orders[0], x)
+    calls = []
+    for name in ("_series_totals", "_debye_scaled"):
+        _spy(monkeypatch, name, calls)
     with pytest.raises(error):
-        next(values)
+        bessel_i_scaled_orders(orders, x)
+    assert calls == []
+
+
+@pytest.mark.parametrize("x, error", [
+    (0.0, None), (1.0, None), (40.0, None),
+    (-2.0, ValueError), (math.nan, ValueError), (math.inf, ValueError),
+])
+def test_bessel_orders_of_no_orders(x, error):
+    # an empty block is still a call: x is checked, and no order is left
+    if error is None:
+        assert bessel_i_scaled_orders([], x) == []
+    else:
+        with pytest.raises(error):
+            bessel_i_scaled_orders([], x)
+
+
+@pytest.mark.parametrize("x", [12.0, 40.0])
+def test_bessel_orders_work_inside_a_timing_wrapper(x, monkeypatch):
+    # a span around the call, made as bench/tracing.py makes its wrappers,
+    # holds the whole cost of the block: the series table or expansion pass
+    # runs while the span is open, not after the wrapper has returned
+    open_spans, seen = [], []
+
+    def span(fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            open_spans.append(time.perf_counter())
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                open_spans.pop()
+        return traced
+
+    for name in ("_series_totals", "_debye_scaled"):
+        fn = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name, lambda *a, fn=fn:
+                            seen.append(bool(open_spans)) or fn(*a))
+    orders = [0.5, 3.0, 10.0]
+    got = list(span(specfun.bessel_i_scaled_orders)(orders, x))
+    assert seen == [True]
+    monkeypatch.undo()
+    assert got == [bessel_i_scaled(nu, x) for nu in orders]
 
 
 # ------------------------------------------------------------------- 1F1
