@@ -13,11 +13,12 @@ when the curvature term has the Jensen-Koppe form -(hbar^2/2M) H^2.
 __version__ = "0.1.0"
 
 from .geometry import (ConeGeometry, ImaginaryIndexError, NotEmbeddableError,
-                       PhysicalConstants, cone_from_deficit_angle,
-                       cone_from_sigma, cone_from_string_density,
-                       coupled_index_nu, deficit_angle, effective_index_mu,
-                       effective_potential, embed, gaussian_curvature_strength,
-                       mean_curvature, string_density)
+                       PhysicalConstants, UnderflowError,
+                       cone_from_deficit_angle, cone_from_sigma,
+                       cone_from_string_density, coupled_index_nu,
+                       deficit_angle, effective_index_mu, effective_potential,
+                       embed, gaussian_curvature_strength, mean_curvature,
+                       string_density)
 from .grids import RadialGrid
 from .oracles import (CurvatureTermMode, TransferMatrixResult,
                       eigen_lowest, podolsky_index, radial_hamiltonian_matrix,

@@ -91,7 +91,8 @@ def _add_model_flags(p):
     p.add_argument("--sigma", type=float, help="deficit parameter (> 0)")
     p.add_argument("--omega", type=float, help="oscillator frequency (> 0)")
     p.add_argument("--kappa", type=float,
-                   help="inverse-square coupling (>= 1 - sigma^2)")
+                   help="inverse-square coupling (>= 1 - sigma^2); write a "
+                        "negative value as --kappa=-1e-3")
     p.add_argument("--mass", type=float, help="particle mass (> 0)")
     p.add_argument("--hbar", type=float, help="hbar (> 0)")
     p.add_argument("--config", help="flat key=value config file")
@@ -148,9 +149,14 @@ def _cmd_convert(args) -> int:
         geom = cone_from_deficit_angle(args.deficit_angle)
     else:
         geom = cone_from_string_density(args.g_eta)
+    angle = deficit_angle(geom)
+    if math.isinf(angle):
+        flag = given[0].replace("_", "-")
+        raise _UsageError(
+            f"--{flag} {getattr(args, given[0])!r} gives sigma = "
+            f"{geom.sigma!r}, whose deficit angle 2 pi (1 - sigma) overflows")
     header = ["sigma", "deficit_angle", "g_eta", "embeddable"]
-    rows = [(geom.sigma, deficit_angle(geom), string_density(geom),
-             geom.embeddable)]
+    rows = [(geom.sigma, angle, string_density(geom), geom.embeddable)]
     _emit_rows(header, rows, args)
     return 0
 

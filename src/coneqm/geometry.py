@@ -25,6 +25,10 @@ class ImaginaryIndexError(ValueError):
     """An index map would need the square root of a negative number."""
 
 
+class UnderflowError(ValueError):
+    """A factor that a computation divides by underflows to 0 in doubles."""
+
+
 @dataclass(frozen=True)
 class ConeGeometry:
     """Cone with deficit parameter sigma > 0."""
@@ -179,7 +183,7 @@ def coupled_index_nu(geom: ConeGeometry, kappa: float, m: int) -> float:
     bound = 1.0 - s * s
     if kappa < bound:
         raise ValueError(
-            f"kappa must be >= 1 - sigma^2 = {bound:.6g}, got {kappa:.6g}"
+            f"kappa must be >= 1 - sigma^2 = {bound!r}, got {kappa!r}"
         )
     return math.sqrt(4.0 * m * m + kappa + s * s - 1.0) / (2.0 * s)
 

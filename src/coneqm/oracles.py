@@ -17,16 +17,16 @@ Three oracles, all deliberately independent of the closed-form kernel code:
 Bessel evaluations here go through scipy (AMOS) rather than the package's own
 special-function layer, keeping the two routes of every comparison
 independent.  Eigenvalues come from LAPACK's tridiagonal bisection on Sturm
-sequences: dstebz and dlaebz, reached through scipy's Cython LAPACK API and
-called by ctypes, which releases the GIL for the call, so the solves of a
+sequences, dstebz, reached through scipy's Cython LAPACK API and called by
+ctypes, which releases the GIL for the call, so the solves of a
 spectrum_match_report run side by side on a pool of threads.  Of its four
 grids (coarse and refined, each also with r_min halved), the two coarse ones
 are solved from scratch by dstebz, and their eigenvalues are bit-identical to
 scipy.linalg.eigh_tridiagonal with index selection and lapack_driver="stebz",
 which makes the same LAPACK call.  The two refined grids are bisected by
-dlaebz inside brackets around levels predicted from the coarse solves alone,
-with dstebz's own stopping rule; Sturm counts certify every bracket, and one
-they refuse sends its grid back to dstebz.
+dstebz one value range at a time, in brackets around levels predicted from
+the coarse solves alone.  One Sturm count per grid certifies that bracket j
+holds level j; a grid it refuses is solved from scratch.
 """
 
 import ctypes
@@ -41,7 +41,7 @@ from scipy.linalg import LinAlgError, cython_lapack
 from scipy.special import ive
 
 from .geometry import (ConeGeometry, ImaginaryIndexError, PhysicalConstants,
-                       effective_potential)
+                       UnderflowError, effective_potential)
 from .grids import RadialGrid
 from .spectrum import OscillatorModel, QuantumNumbers, energy, potential
 
@@ -90,6 +90,10 @@ def _quarter_plus_c(model: OscillatorModel, m: int,
     # 1/4 + C is summed without it: on the kappa = 1 - sigma^2 boundary the
     # Jensen-Koppe s-wave then gives exactly 0 (the p = 1/2 double root).
     s2 = model.geom.sigma ** 2
+    if s2 == 0.0:
+        raise UnderflowError(
+            f"sigma^2 underflows to 0 at sigma = {model.geom.sigma!r}, so "
+            "the radial operator's m^2/sigma^2 cannot be formed")
     disc = m * m / s2 + model.kappa / (4.0 * s2)
     if mode is CurvatureTermMode.JENSEN_KOPPE:
         disc -= (1.0 - s2) / (4.0 * s2)
@@ -165,19 +169,14 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
 
 
 # dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
-# isplit, work, iwork, info) and dlaebz(ijob, nitmax, n, mmax, minp, nbmin,
-# abstol, reltol, pivmin, d, e, e2, nval, ab, c, mout, nab, work, iwork, info)
-# as scipy.linalg.cython_lapack exports them: C functions, so a ctypes call to
-# either runs with the GIL released
+# isplit, work, iwork, info) as scipy.linalg.cython_lapack exports it: a C
+# function, so a ctypes call to it runs with the GIL released
 _INT_P = ctypes.POINTER(ctypes.c_int)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _DSTEBZ_PROTOTYPE = ctypes.CFUNCTYPE(
     None, ctypes.c_char_p, ctypes.c_char_p, _INT_P, _DOUBLE_P, _DOUBLE_P,
     _INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P,
     _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P)
-_DLAEBZ_PROTOTYPE = ctypes.CFUNCTYPE(
-    None, *(_INT_P,) * 6, *(_DOUBLE_P,) * 6, _INT_P, _DOUBLE_P, _DOUBLE_P,
-    _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P)
 # how the capsule's signature spells each argument type (d is
 # cython_lapack's typedef of double)
 _C_SPELLING = {ctypes.c_char_p: "char *", _INT_P: "int *",
@@ -206,8 +205,31 @@ def _load_lapack(capsules, name, prototype):
 
 _dstebz = _load_lapack(cython_lapack.__pyx_capi__, "dstebz",
                        _DSTEBZ_PROTOTYPE)
-_dlaebz = _load_lapack(cython_lapack.__pyx_capi__, "dlaebz",
-                       _DLAEBZ_PROTOTYPE)
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, range_: bytes, vl: float,
+           vu: float, iu: int, abstol: float):
+    """(w, info) from LAPACK dstebz on the tridiagonal matrix (d, e), which
+    must be contiguous float64: w holds, ascending, the eigenvalues in
+    (vl, vu] for range_ b"V" or the iu smallest for b"I"."""
+    n = len(d)
+    w = np.empty(n)
+    iblock = np.empty(n, dtype=np.intc)
+    isplit = np.empty(n, dtype=np.intc)
+    work = np.empty(4 * n)
+    iwork = np.empty(3 * n, dtype=np.intc)
+    found, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    _dstebz(range_, b"E", ctypes.byref(ctypes.c_int(n)),
+            ctypes.byref(ctypes.c_double(vl)),
+            ctypes.byref(ctypes.c_double(vu)),
+            ctypes.byref(ctypes.c_int(1)), ctypes.byref(ctypes.c_int(iu)),
+            ctypes.byref(ctypes.c_double(abstol)),
+            d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
+            ctypes.byref(found), ctypes.byref(nsplit),
+            w.ctypes.data_as(_DOUBLE_P), iblock.ctypes.data_as(_INT_P),
+            isplit.ctypes.data_as(_INT_P), work.ctypes.data_as(_DOUBLE_P),
+            iwork.ctypes.data_as(_INT_P), ctypes.byref(info))
+    return w[:found.value], info.value
 
 
 def _real_vector(values, length: int, name: str) -> np.ndarray:
@@ -244,25 +266,12 @@ def eigen_lowest(matrix: TridiagonalMatrix, k: int) -> np.ndarray:
         )
     d = _real_vector(matrix.diagonal, n, "diagonal")
     e = _real_vector(matrix.offdiagonal, n - 1, "offdiagonal")
-    w = np.empty(n)
-    iblock = np.empty(n, dtype=np.intc)
-    isplit = np.empty(n, dtype=np.intc)
-    work = np.empty(4 * n)
-    iwork = np.empty(3 * n, dtype=np.intc)
-    found, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    zero = ctypes.byref(ctypes.c_double(0.0))
-    _dstebz(b"I", b"E", ctypes.byref(ctypes.c_int(n)), zero, zero,
-            ctypes.byref(ctypes.c_int(1)), ctypes.byref(ctypes.c_int(k)), zero,
-            d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
-            ctypes.byref(found), ctypes.byref(nsplit),
-            w.ctypes.data_as(_DOUBLE_P), iblock.ctypes.data_as(_INT_P),
-            isplit.ctypes.data_as(_INT_P), work.ctypes.data_as(_DOUBLE_P),
-            iwork.ctypes.data_as(_INT_P), ctypes.byref(info))
-    if info.value != 0 or found.value != k:
+    levels, info = _stebz(d, e, b"I", 0.0, 0.0, k, 0.0)
+    if info != 0 or len(levels) != k:
         raise LinAlgError(
-            f"dstebz found {found.value} of the {k} lowest eigenvalues of a "
-            f"{n}-dimensional matrix (LAPACK info={info.value})")
-    return w[:k]
+            f"dstebz found {len(levels)} of the {k} lowest eigenvalues of a "
+            f"{n}-dimensional matrix (LAPACK info={info})")
+    return levels
 
 
 # threads of the solver pool: a report's two coarse solves run side by side,
@@ -283,122 +292,67 @@ if hasattr(os, "register_at_fork"):      # absent where there is no fork
     os.register_at_fork(after_in_child=_start_solver_pool)
 
 
-# dstebz's constants for a double-precision matrix: DLAMCH('P'), DLAMCH('S'),
-# the factor that widens its Gershgorin bounds, and RTOLI = 2 ulp
-_ULP = float(np.finfo(np.float64).eps)
-_SAFE_MIN = float(np.finfo(np.float64).tiny)
-_FUDGE = 2.1
-_RTOLI = 2.0 * _ULP
-# A bracket that the Sturm counts refuse is widened _WIDEN-fold, at most
+# A bracket that holds other than one level is widened _WIDEN-fold, at most
 # _WIDENINGS times; then its grid is solved by eigen_lowest.  Three
 # widenings take the halved-r_min brackets from 2^-20 to 2^-8 of the level
 # distance, past the largest share measured below.
 _WIDEN = 16.0
 _WIDENINGS = 3
+# lower end of the certificate's count: below every level of the oracle's
+# matrices, which are in units of hbar omega
+_BELOW_ALL = -1.0e300
 
 
-def _sturm_setup(d: np.ndarray, e: np.ndarray):
-    """(e^2, pivmin, atoli) as dstebz forms them for a matrix that it keeps
-    whole, or None when dstebz would split the matrix into blocks."""
-    e2 = e * e
-    if np.any(np.abs(d[1:] * d[:-1]) * _ULP ** 2 + _SAFE_MIN > e2):
-        return None
-    pivmin = max(1.0, float(e2.max(initial=0.0))) * _SAFE_MIN
-    ae = np.abs(e)
-    below = np.concatenate(([0.0], ae))
-    above = np.concatenate((ae, [0.0]))
-    gu = float(np.max(d + below + above))
-    gl = float(np.min(d - below - above))
-    slack = _FUDGE * max(abs(gl), abs(gu)) * _ULP * len(d)
-    gl = gl - slack - _FUDGE * pivmin
-    gu = gu + slack + _FUDGE * pivmin
-    return e2, pivmin, _ULP * max(abs(gl), abs(gu))
-
-
-def _bisect_brackets(d, e, e2, pivmin, atoli, first, centres, half_widths,
-                     widenings):
-    """Levels first, first + 1, ... of the tridiagonal matrix (d, e), level
-    first + j bisected inside centres[j] +- half_widths[j].
-
-    Two calls to LAPACK dlaebz.  IJOB=1 counts the Sturm sequence at both
-    ends of each bracket, which must have exactly first + j and first + j + 1
-    eigenvalues below them; a refused bracket is widened _WIDEN-fold, at
-    most ``widenings`` times.  IJOB=2 then bisects every bracket with
-    dstebz's stopping rule (abstol atoli, reltol 2 ulp, the same pivmin).
-    None when a bracket stays refused or dlaebz does not converge.
-    """
-    n, count = len(d), len(centres)
-    level = np.arange(first, first + count)
-    half = np.array(half_widths, dtype=np.float64)
-    nab = np.empty((2, count), dtype=np.intc)   # Fortran NAB(count, 2)
-    c = np.empty(count)
-    work = np.empty(count)
-    iwork = np.empty(count, dtype=np.intc)
-    mout, info = ctypes.c_int(), ctypes.c_int()
-
-    def call(ijob, nitmax, ab):
-        _dlaebz(ctypes.byref(ctypes.c_int(ijob)),
-                ctypes.byref(ctypes.c_int(nitmax)),
-                ctypes.byref(ctypes.c_int(n)),
-                ctypes.byref(ctypes.c_int(count)),
-                ctypes.byref(ctypes.c_int(count)),
-                ctypes.byref(ctypes.c_int(0)),          # scalar loop only
-                ctypes.byref(ctypes.c_double(atoli)),
-                ctypes.byref(ctypes.c_double(_RTOLI)),
-                ctypes.byref(ctypes.c_double(pivmin)),
-                d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
-                e2.ctypes.data_as(_DOUBLE_P),
-                iwork.ctypes.data_as(_INT_P),           # NVAL: unused
-                ab.ctypes.data_as(_DOUBLE_P), c.ctypes.data_as(_DOUBLE_P),
-                ctypes.byref(mout), nab.ctypes.data_as(_INT_P),
-                work.ctypes.data_as(_DOUBLE_P), iwork.ctypes.data_as(_INT_P),
-                ctypes.byref(info))
-
-    for _ in range(widenings + 1):
-        ab = np.array([centres - half, centres + half])   # AB(count, 2)
-        call(1, 0, ab)
-        refused = (nab[0] != level) | (nab[1] != level + 1)
-        if not refused.any():
-            break
-        half[refused] *= _WIDEN
-    else:
-        return None
-    # dstebz's iteration cap for an interval of this width
-    width = float(np.max(ab[1] - ab[0]))
-    nitmax = int((math.log(width + pivmin) - math.log(pivmin))
-                 / math.log(2.0)) + 2
-    call(2, nitmax, ab)
-    if info.value != 0 or mout.value != count:
-        return None
-    levels = np.empty(count)
-    # dlaebz moves converged intervals to the front; NAB says whose each is
-    levels[nab[0] - first] = 0.5 * (ab[0] + ab[1])
-    return levels
+def _solve_brackets(d: np.ndarray, e: np.ndarray, centres: np.ndarray,
+                    half_widths: np.ndarray):
+    """Rows (levels, lows, highs): the level that dstebz finds in each
+    bracket (low, high] = centres[j] -+ half_widths[j], one RANGE='V' call
+    per bracket, which is widened _WIDEN-fold while it holds other than one
+    level or dstebz reports a failure; None after _WIDENINGS widenings."""
+    solved = []
+    for centre, half in zip(centres.tolist(), half_widths.tolist()):
+        for _ in range(_WIDENINGS + 1):
+            low, high = centre - half, centre + half
+            if not low < high:
+                return None
+            found, info = _stebz(d, e, b"V", low, high, 0, 0.0)
+            if len(found) == 1 and info == 0:
+                break
+            half *= _WIDEN
+        else:
+            return None
+        solved.append((found[0], low, high))
+    return np.array(solved).T
 
 
 def _eigen_near(matrix: TridiagonalMatrix, centres: np.ndarray,
                 half_widths: np.ndarray) -> np.ndarray:
     """The len(centres) smallest eigenvalues, ascending, each bisected inside
-    its bracket centres[i] +- half_widths[i].
+    its bracket centres[i] +- half_widths[i] by _solve_brackets, in
+    _WORKERS parts on the solver pool, so within dstebz's absolute
+    tolerance of eigen_lowest's value.
 
-    The brackets are split into _WORKERS parts, solved by _bisect_brackets
-    on the solver pool.  Each level is certified by Sturm counts and located
-    as dstebz locates it, so it lies within dstebz's absolute tolerance of
-    eigen_lowest's value.  When the counts refuse a bracket after
-    _WIDENINGS widenings, or dstebz would split the matrix, the whole
-    matrix is solved by eigen_lowest instead, bit for bit.
+    One count certifies the grid: with the final brackets sorted and
+    disjoint, each holding one level, and exactly k levels at or below the
+    top of the last, bracket j holds level j.  A grid with a refused bracket
+    or certificate is solved by eigen_lowest instead, bit for bit.
     """
     k = len(centres)
     d = _real_vector(matrix.diagonal, matrix.dimension, "diagonal")
     e = _real_vector(matrix.offdiagonal, matrix.dimension - 1, "offdiagonal")
-    setup = _sturm_setup(d, e)
-    if setup is not None:
-        jobs = [_SOLVES.submit(_bisect_brackets, d, e, *setup, int(part[0]),
-                               centres[part], half_widths[part], _WIDENINGS)
-                for part in np.array_split(np.arange(k), min(k, _WORKERS))]
-        parts = [job.result() for job in jobs]
-        if all(part is not None for part in parts):
-            return np.concatenate(parts)
+    jobs = [_SOLVES.submit(_solve_brackets, d, e, centres[part],
+                           half_widths[part])
+            for part in np.array_split(np.arange(k), min(k, _WORKERS))]
+    parts = [job.result() for job in jobs]
+    if all(part is not None for part in parts):
+        levels, lows, highs = np.concatenate(parts, axis=1)
+        if np.all(highs[:-1] <= lows[1:]):
+            # ABSTOL no less than the interval's width: a count, no bisection
+            top = float(highs[-1])
+            below, info = _stebz(d, e, b"V", _BELOW_ALL, top, 0,
+                                 top - _BELOW_ALL)
+            if info == 0 and len(below) == k:
+                return levels
     return _SOLVES.submit(eigen_lowest, matrix, k).result()
 
 
@@ -460,8 +414,8 @@ def _richardson(e_coarse: np.ndarray, e_fine: np.ndarray):
 # fine + (half_coarse - coarse), one grid of ten beyond 2^-20.  On 480
 # 2001-point, k = 4 grids at sigma in [0.3, 2] and kappa 1 or 2 they reach
 # 2^-9.1 and 2^-12.0, and 19 and 167 of those grids need a widening.  A
-# widening costs two Sturm counts and four more bisection steps on the
-# brackets it widens; a wider start would cost every bracket those steps.
+# widening costs one more dstebz call and four more bisection steps on the
+# bracket it widens; a wider start would cost every bracket those steps.
 _FINE_SHARE = 2.0 ** -11
 _HALF_FINE_SHARE = 2.0 ** -20
 
@@ -522,9 +476,10 @@ def spectrum_match_report(model: OscillatorModel, m: int,
     any omega.  The two coarse matrices are solved from scratch by
     eigen_lowest, side by side on the solver pool, and their levels are
     bit-identical to eigh_tridiagonal's.  The two refined matrices are
-    bisected only inside brackets around levels those solves predict, each
-    level certified by Sturm counts and within dstebz's absolute tolerance
-    of eigen_lowest's value.  An error in any solve is raised here as it is.
+    bisected by dstebz only inside brackets around levels those solves
+    predict, and one Sturm count per grid certifies that bracket j holds
+    level j; each level is within dstebz's absolute tolerance of
+    eigen_lowest's value.  An error in any solve is raised here as it is.
     """
     hbar_omega = model.consts.hbar * model.omega
     half_grid = RadialGrid(0.5 * grid.r_min, grid.r_max, grid.points)
@@ -599,6 +554,11 @@ def recombination_ratio(geom: ConeGeometry, consts: PhysicalConstants, m: int,
         return 1.0
     v_eff = effective_potential(geom, consts, r_hat)
     denom = math.exp(-v_eff * eps / consts.hbar) * float(ive(abs(m) / s, w))
+    if denom == 0.0:
+        raise UnderflowError(
+            f"the recombined factor underflows to 0 at sigma = {s!r}, "
+            f"m = {m!r}, eps = {eps!r}: e^(-w) I_(m/sigma)(w) with "
+            f"w = M r_hat^2/(hbar eps) = {w!r}")
     return numer / denom
 
 

@@ -160,10 +160,20 @@ def _kernel_factors(model: OscillatorModel, r1: float, r2: float,
     # r2 may be numpy arrays, which get the scalar operations element-wise.
     a = model.consts.mass * model.omega / model.consts.hbar
     wb = model.omega * beta
-    sh = math.sinh(wb)
+    try:
+        sh = math.sinh(wb)
+    except OverflowError:
+        sh = math.inf
     if sh == 0.0:
         raise ValueError(
             f"sinh(omega beta) underflows to 0 at beta = {beta!r}")
+    if math.isinf(2.0 * sh):
+        # a/(2 sinh(wb)) below would be 0 and its factor inf: use
+        # 1/sinh(wb) = 2 e^{-wb}/(1 - e^{-2wb}) and z - Q = -(a/2) (d^2
+        # coth(wb) + 2 r1 r2 tanh(wb/2)).  Here wb > 709, where e^{-2wb}
+        # rounds to 0 and coth(wb), tanh(wb/2) to 1, which leaves these
+        pref = math.exp(math.log(2.0) + math.log(a) - wb)
+        return pref, -(0.5 * a) * (r1 * r1 + r2 * r2), pref * r1 * r2
     z = a * r1 * r2 / sh
     # z - Q with Q = a (r1^2 + r2^2) cosh(wb) / (2 sh), written without the
     # cancellation of two terms near z: a sum of terms >= 0, negated, so it

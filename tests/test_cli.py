@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -57,6 +58,18 @@ def test_convert_requires_exactly_one(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--sigma", "1e308"), "--sigma 1e+308"),
+    (("--g-eta=-1e307",), "--g-eta -1e+307"),
+])
+def test_convert_overflowing_deficit_angle_exit_2(capsys, argv, flag):
+    # 2 pi (1 - sigma) overflows: refused by name, not printed as -inf
+    code, out, err = run(capsys, "convert", *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err and "deficit angle" in err
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -93,6 +106,14 @@ def test_spectrum_invalid_kappa_exit_2(capsys):
     assert code == 2
     assert "kappa must be >= 1 - sigma^2" in err
     assert "0.75" in err
+
+
+def test_spectrum_kappa_bound_message_gives_both_values(capsys):
+    # the bound 1 - 1.4^2 = -0.9599999999999997 lies above -0.96
+    code, _, err = run(capsys, "spectrum", "--sigma", "1.4", "--kappa=-0.96",
+                       "--e-max", "10")
+    assert code == 2
+    assert "= -0.9599999999999997, got -0.96" in err
 
 
 def test_spectrum_malformed_flag_exit_2(capsys):
@@ -370,6 +391,23 @@ def test_kernel_overflowing_factors_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "beta" in err
+
+
+@pytest.mark.parametrize("beta", ["710", "711", "1e300"])
+def test_kernel_where_sinh_overflows_exit_0(capsys, beta):
+    # above omega beta = 709.78, 2 sinh(omega beta) overflows; the flat
+    # Mehler kernel at dtheta = 0 is (a/pi) e^{-omega beta}
+    # e^{-(r1^2 + r2^2)/2} there, subnormal at 710 and 711, 0 beyond 745
+    code, out, err = run(capsys, "kernel", "--r1", "1", "--r2", "1.5",
+                         "--beta", beta, "--sigma", "1", "--kappa", "0",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    got = json.loads(out)[0]
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        want = float(mpmath.exp(-b - mpmath.mpf(1.625)) / mpmath.pi)
+    assert got["value"] == pytest.approx(want, rel=1e-12, abs=1e-323)
+    assert got["tail_bound"] == 0.0
 
 
 def test_verify_overflowing_closed_kernel_exit_2(capsys):
@@ -672,6 +710,23 @@ def test_verify_spectrum_imaginary_index_exit_2(capsys):
         assert code == 2
         assert "imaginary" in err and "m=0" in err
         assert "math domain error" not in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    # e^{-w} I_{m/sigma}(w) underflows to 0 at m/sigma = 518
+    (("--sigma", "0.0019300679415509298", "--kappa", "0.999996274837741",
+      "--suite", "recombination"),
+     ("sigma = 0.0019300679415509298", "m = 1", "eps = 0.02")),
+    # sigma^2 underflows to 0
+    (("--sigma", "1e-300", "--kappa", "7.75", "--suite", "spectrum"),
+     ("sigma = 1e-300",)),
+])
+def test_verify_underflowing_divisor_exit_2(capsys, argv, names):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "underflows to 0" in err
+    assert all(name in err for name in names)
 
 
 @pytest.mark.parametrize("flags, code", [

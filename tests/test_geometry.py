@@ -161,6 +161,12 @@ def test_coupled_index_nu():
         coupled_index_nu(cone_from_sigma(0.5), 0.5, 0)
 
 
+def test_coupled_index_nu_bound_message_gives_both_values():
+    # .6g would print both as -0.96
+    with pytest.raises(ValueError, match=r"= -0\.9599999999999997, got -0\.96$"):
+        coupled_index_nu(cone_from_sigma(1.4), -0.96, 0)
+
+
 def test_nu_reduces_to_mu_at_zero_kappa():
     # kappa = 0 is inside the coupled-index domain only for sigma >= 1;
     # there the two index maps must coincide

@@ -26,7 +26,7 @@ TRANSFER_BODIES = ("_short_time_matrix", "transfer_matrix_kernel")
 ORDER_NAMES = {"nu", "coupled_index_nu", "podolsky_index", "_quarter_plus_c",
                "_regular_exponent"}
 BRACKET_BODIES = ("_report_levels", "_level_gaps", "_eigen_near",
-                  "_bisect_brackets", "_sturm_setup")
+                  "_solve_brackets", "_stebz")
 CLOSED_FORM_NAMES = {"energy", "nu", "coupled_index_nu", "podolsky_index"}
 
 

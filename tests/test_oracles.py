@@ -17,7 +17,8 @@ import pytest
 
 from coneqm import oracles
 from coneqm.geometry import (ConeGeometry, ImaginaryIndexError,
-                             PhysicalConstants, effective_potential)
+                             PhysicalConstants, UnderflowError,
+                             effective_potential)
 from coneqm.grids import RadialGrid
 from coneqm.oracles import (CurvatureTermMode, InnerBoundary, eigen_lowest,
                             podolsky_index, radial_hamiltonian_matrix,
@@ -228,14 +229,11 @@ def test_dlaebz_signature_is_checked_on_load():
     from scipy.linalg import cython_lapack
 
     import coneqm.oracles as oracles
-    # dstebz's signature, which begins with two char *
-    wrong = cython_lapack.__pyx_capi__["dstebz"]
-    with pytest.raises(ImportError, match=r"exports dlaebz as 'void \(char \*"):
-        oracles._load_lapack({"dlaebz": wrong}, "dlaebz",
-                             oracles._DLAEBZ_PROTOTYPE)
-    right = oracles._load_lapack(cython_lapack.__pyx_capi__, "dlaebz",
-                                 oracles._DLAEBZ_PROTOTYPE)
-    assert isinstance(right, oracles._DLAEBZ_PROTOTYPE)
+    # dlaebz's signature, which begins with six int *
+    wrong = cython_lapack.__pyx_capi__["dlaebz"]
+    with pytest.raises(ImportError, match=r"exports dstebz as 'void \(int \*"):
+        oracles._load_lapack({"dstebz": wrong}, "dstebz",
+                             oracles._DSTEBZ_PROTOTYPE)
 
 
 # ------------------------------------------------------- bracketed solve
@@ -275,8 +273,8 @@ def test_bracketed_report_levels_match_eigen_lowest(monkeypatch):
         return real(matrix, k)
 
     monkeypatch.setattr(oracles, "eigen_lowest", spy)
-    jobs = _dlaebz_jobs(monkeypatch)
-    checked = 0
+    calls = _dstebz_calls(monkeypatch)
+    checked, brackets = 0, 0
     while checked < 30:
         sigma = float(rng.uniform(0.3, 2.0))
         kappa = (1.0 - sigma ** 2, 1.0, 2.0)[rng.integers(3)]
@@ -299,7 +297,11 @@ def test_bracketed_report_levels_match_eigen_lowest(monkeypatch):
             else:
                 assert np.all(np.abs(levels - ref) <= _atoli(mat)), label
         checked += 1
-    assert jobs.count(1) > jobs.count(2)        # some brackets were widened
+        brackets += 2 * k
+    ranges = [call[0] for call in calls]
+    # one certificate count per refined grid; some brackets were widened
+    assert sum(1 for call in calls if _is_count(call)) == 2 * checked
+    assert ranges.count(b"V") > brackets + 2 * checked
 
 
 def _bracket_case():
@@ -307,78 +309,120 @@ def _bracket_case():
                                     RadialGrid(1e-3, 12.0, 4000))
     levels = eigen_lowest(mat, 6)
     half = 1e-3 * np.diff(levels).min() * np.ones(6)
-    d = np.ascontiguousarray(mat.diagonal)
-    e = np.ascontiguousarray(mat.offdiagonal)
-    return mat, levels, half, (d, e, *oracles._sturm_setup(d, e))
+    return mat, levels, half, eigen_lowest(mat, 7)[6]
 
 
-def _dlaebz_jobs(monkeypatch):
-    # the IJOB of every dlaebz call, forwarded to the real routine
-    real = oracles._dlaebz
-    jobs = []
+def _dstebz_calls(monkeypatch):
+    # (RANGE, VL, VU, ABSTOL) of every dstebz call, forwarded to the real
+    # routine; calls from pool threads arrive in any order
+    real = oracles._dstebz
+    calls = []
 
-    def spy(ijob, *rest):
-        jobs.append(ijob._obj.value)
-        real(ijob, *rest)
+    def spy(range_, order, n, vl, vu, il, iu, abstol, *rest):
+        calls.append((range_, vl._obj.value, vu._obj.value,
+                      abstol._obj.value))
+        real(range_, order, n, vl, vu, il, iu, abstol, *rest)
 
-    monkeypatch.setattr(oracles, "_dlaebz", spy)
-    return jobs
+    monkeypatch.setattr(oracles, "_dstebz", spy)
+    return calls
+
+
+def _is_count(call):
+    # the certificate: every level at or below VU, with an ABSTOL that
+    # stops the bisection at once
+    range_, vl, vu, abstol = call
+    return range_ == b"V" and vl == oracles._BELOW_ALL and abstol >= vu - vl
 
 
 def test_bracketed_solve_counts_then_bisects(monkeypatch):
-    mat, levels, half, setup = _bracket_case()
-    jobs = _dlaebz_jobs(monkeypatch)
-    got = oracles._bisect_brackets(*setup, 0, levels + 0.3 * half, half, 0)
-    assert jobs == [1, 2]
+    mat, levels, half, _ = _bracket_case()
+    d, e = mat.diagonal, mat.offdiagonal
+    calls = _dstebz_calls(monkeypatch)
+    got, lows, highs = oracles._solve_brackets(d, e, levels + 0.3 * half,
+                                               half)
+    # one RANGE='V' call per bracket, with dstebz's own tolerance
+    assert calls == [(b"V", lo, hi, 0.0) for lo, hi in zip(lows, highs)]
+    assert np.all((lows < levels) & (levels < highs))
     assert np.all(np.abs(got - levels) <= _atoli(mat))
     # a part of the brackets gives its own levels
-    got = oracles._bisect_brackets(*setup, 2, levels[2:5], half[2:5], 0)
+    got, _, _ = oracles._solve_brackets(d, e, levels[2:5], half[2:5])
     assert np.all(np.abs(got - levels[2:5]) <= _atoli(mat))
+    # the whole grid: the brackets, then one count up to the last bracket
+    calls.clear()
+    got = oracles._eigen_near(mat, levels + 0.3 * half, half)
+    assert np.all(np.abs(got - levels) <= _atoli(mat))
+    assert sorted(_is_count(call) for call in calls) == [False] * 6 + [True]
+    assert max(call[2] for call in calls) == levels[5] + 1.3 * half[5]
 
 
 @pytest.mark.parametrize("mutation", ["shifted by a level", "two levels"])
 def test_counts_refuse_a_wrong_bracket_and_the_solve_falls_back(
         monkeypatch, mutation):
-    mat, levels, half, setup = _bracket_case()
+    mat, levels, half, _ = _bracket_case()
+    d, e = mat.diagonal, mat.offdiagonal
     centres = levels.copy()
+    calls = _dstebz_calls(monkeypatch)
     if mutation == "shifted by a level":
+        # each bracket holds one level, but brackets 2 and 3 the same one
         centres[2] = levels[3]
+        got, lows, highs = oracles._solve_brackets(d, e, centres, half)
+        assert got[2] == got[3] and highs[2] > lows[3]
+        assert len(calls) == 6
     else:
         centres[2] = 0.5 * (levels[2] + levels[3])
         half[2] = levels[3] - levels[2]
-    jobs = _dlaebz_jobs(monkeypatch)
-    assert oracles._bisect_brackets(*setup, 0, centres, half,
-                                    oracles._WIDENINGS) is None
-    # refused by the counts, every widening too; never bisected
-    assert jobs == [1] * (oracles._WIDENINGS + 1)
+        assert oracles._solve_brackets(d, e, centres, half) is None
+        # bracket 2 holds two levels, every widening too
+        assert len(calls) == 2 + oracles._WIDENINGS + 1
+    calls.clear()
     got = oracles._eigen_near(mat, centres, half)
     assert got.tobytes() == levels.tobytes()
+    # refused before the certificate's count; then solved from scratch
+    assert not any(_is_count(call) for call in calls)
+    assert [call[0] for call in calls].count(b"I") == 1
+
+
+def test_every_bracket_one_level_up_falls_back(monkeypatch):
+    # brackets around levels 1..6 each hold one level, sorted and disjoint;
+    # only the count (seven levels at or below the top, not six) refuses them
+    mat, levels, half, above = _bracket_case()
+    centres = np.append(levels[1:], above)
+    calls = _dstebz_calls(monkeypatch)
+    got = oracles._eigen_near(mat, centres, half)
+    assert got.tobytes() == levels.tobytes()
+    assert sum(1 for call in calls if _is_count(call)) == 1
+    assert [call[0] for call in calls].count(b"I") == 1
 
 
 def test_widening_finds_a_missed_level_and_budget_zero_falls_back(
         monkeypatch):
-    mat, levels, half, setup = _bracket_case()
+    mat, levels, half, _ = _bracket_case()
+    d, e = mat.diagonal, mat.offdiagonal
     centres = levels.copy()
     centres[4] += 3.0 * half[4]          # level 4 outside, inside once widened
-    jobs = _dlaebz_jobs(monkeypatch)
-    got = oracles._bisect_brackets(*setup, 0, centres, half, 1)
-    assert jobs == [1, 1, 2]
+    calls = _dstebz_calls(monkeypatch)
+    got, lows, highs = oracles._solve_brackets(d, e, centres, half)
+    assert len(calls) == 7               # bracket 4 twice
+    assert highs[4] - lows[4] == pytest.approx(2.0 * oracles._WIDEN * half[4])
     assert np.all(np.abs(got - levels) <= _atoli(mat))
-    assert oracles._bisect_brackets(*setup, 0, centres, half, 0) is None
     monkeypatch.setattr(oracles, "_WIDENINGS", 0)
+    assert oracles._solve_brackets(d, e, centres, half) is None
     got = oracles._eigen_near(mat, centres, half)
     assert got.tobytes() == levels.tobytes()
 
 
-def test_bracketed_solve_of_a_matrix_dstebz_splits_falls_back():
+def test_bracketed_solve_of_a_matrix_dstebz_splits_falls_back(monkeypatch):
+    # dstebz splits the matrix itself: the brackets still give the levels,
+    # within its tolerance, and nothing is solved from scratch
     rng = np.random.default_rng(7)
     e = rng.normal(size=39)
     e[17] = 0.0
     mat = _tridiagonal(rng.normal(size=40), e)
     levels = eigen_lowest(mat, 5)
-    assert oracles._sturm_setup(mat.diagonal, mat.offdiagonal) is None
+    calls = _dstebz_calls(monkeypatch)
     got = oracles._eigen_near(mat, levels, np.full(5, 1e-3))
-    assert got.tobytes() == levels.tobytes()
+    assert np.all(np.abs(got - levels) <= _atoli(mat))
+    assert [call[0] for call in calls] == [b"V"] * 6
 
 
 def test_eigen_flat_oscillator_m1():
@@ -512,6 +556,13 @@ def test_frobenius_imaginary_exponent_raises():
                                   "dirichlet")
 
 
+def test_operator_with_underflowing_sigma_squared_raises():
+    m = model(sigma=1e-300, kappa=7.75)
+    for mode in CurvatureTermMode:
+        with pytest.raises(UnderflowError, match=r"sigma = 1e-300"):
+            radial_hamiltonian_matrix(m, 0, mode, RadialGrid(1e-3, 6.0, 100))
+
+
 # --------------------------------------------------- spectrum match report
 
 
@@ -620,7 +671,7 @@ def test_report_solves_run_pooled_through_the_module_function(monkeypatch):
     import threading
 
     import coneqm.oracles as oracles
-    real_eigen, real_brackets = oracles.eigen_lowest, oracles._bisect_brackets
+    real_eigen, real_brackets = oracles.eigen_lowest, oracles._solve_brackets
     seen, brackets = [], []
 
     def spy(matrix, k):
@@ -632,7 +683,7 @@ def test_report_solves_run_pooled_through_the_module_function(monkeypatch):
         return real_brackets(d, *rest)
 
     monkeypatch.setattr(oracles, "eigen_lowest", spy)
-    monkeypatch.setattr(oracles, "_bisect_brackets", bracket_spy)
+    monkeypatch.setattr(oracles, "_solve_brackets", bracket_spy)
     spectrum_match_report(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
                           RadialGrid(1e-3, 12.0, 300), 3)
     assert sorted(dim for dim, _ in seen) == [298, 298]
@@ -642,7 +693,7 @@ def test_report_solves_run_pooled_through_the_module_function(monkeypatch):
 
 def test_pooled_solve_error_reaches_caller_unchanged(monkeypatch):
     import coneqm.oracles as oracles
-    real_eigen, real_brackets = oracles.eigen_lowest, oracles._bisect_brackets
+    real_eigen, real_brackets = oracles.eigen_lowest, oracles._solve_brackets
     boom = RuntimeError("solve failed")
     args = (model(), 1, CurvatureTermMode.JENSEN_KOPPE,
             RadialGrid(1e-3, 12.0, 300), 3)
@@ -652,7 +703,7 @@ def test_pooled_solve_error_reaches_caller_unchanged(monkeypatch):
             raise boom
         return real_brackets(d, *rest)
 
-    monkeypatch.setattr(oracles, "_bisect_brackets", failing_brackets)
+    monkeypatch.setattr(oracles, "_solve_brackets", failing_brackets)
     with pytest.raises(RuntimeError) as caught:
         spectrum_match_report(*args)
     assert caught.value is boom
@@ -662,7 +713,7 @@ def test_pooled_solve_error_reaches_caller_unchanged(monkeypatch):
             raise boom
         return real_eigen(matrix, k)
 
-    monkeypatch.setattr(oracles, "_bisect_brackets", real_brackets)
+    monkeypatch.setattr(oracles, "_solve_brackets", real_brackets)
     monkeypatch.setattr(oracles, "eigen_lowest", failing)
     with pytest.raises(RuntimeError) as caught:
         spectrum_match_report(*args)
@@ -871,6 +922,14 @@ def test_recombination_imaginary_index_guard():
         recombination_ratio(ConeGeometry(0.5), NAT, 0, 1.0, 0.1)
     # m = 0 is fine for sigma >= 1
     assert recombination_ratio(ConeGeometry(1.0), NAT, 0, 1.0, 0.1) == 1.0
+
+
+def test_recombination_underflowing_factor_raises():
+    # e^{-w} I_{m/sigma}(w) at w = 50 and m/sigma = 518 underflows to 0
+    geom = ConeGeometry(0.0019300679415509298)
+    with pytest.raises(UnderflowError, match=r"sigma = 0\.00193006794155092"
+                       r"98, m = 1, eps = 0\.02: .* = 50\.0"):
+        recombination_ratio(geom, NAT, 1, 1.0, 0.02)
 
 
 # --------------------------------------------------------- transfer matrix

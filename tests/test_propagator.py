@@ -350,6 +350,31 @@ def test_closed_kernel_rejects_overflowing_factors(r):
             radial_kernel_closed(m, 1, np.array([1.0, 1e300]), 1e300, 1.0)
 
 
+@pytest.mark.parametrize("beta", [709.9, 710.3, 711.0, 750.0])
+def test_closed_kernel_where_sinh_overflows_matches_mpmath(beta):
+    # 2 sinh(omega beta) overflows above omega beta = 709.78, where the
+    # factors take their e^{-omega beta} form.  With a = M omega/hbar = 1e200
+    # and radii near 1e-100 the kernel is a normal number, so that form's
+    # precision shows; array radii give the scalar calls' bits
+    mod = model(sigma=1.0, kappa=0.0, consts=PhysicalConstants(mass=1e200))
+    r1 = np.array([0.5e-100, 1e-100, 1.5e-100])
+    r2 = np.array([1e-100, 2e-100, 0.7e-100])
+    got = radial_kernel_closed(mod, 0, r1, r2, beta)
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(1e200), mpmath.mpf(beta)
+        for x, y, val in zip(r1.tolist(), r2.tolist(), got.tolist()):
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            ref = a / mpmath.sinh(b) * mpmath.exp(
+                -a * (x * x + y * y) / (2 * mpmath.tanh(b))) \
+                * mpmath.besseli(0, a * x * y / mpmath.sinh(b))
+            assert val == pytest.approx(float(ref), rel=1e-13)
+            assert val == radial_kernel_closed(mod, 0, float(x), float(y),
+                                               beta)
+    # in natural units: finite and small, no OverflowError
+    assert 0.0 < radial_kernel_closed(model(1.0, 0.0), 0, 1.0, 1.0, 711.0) \
+        < 1e-308
+
+
 def test_full_kernel_rejects_overflowing_factors():
     # z = M omega r1 r2 / (hbar sinh(omega beta)) or the prefactor overflows
     m = model()
