@@ -26,7 +26,8 @@ class ImaginaryIndexError(ValueError):
 
 
 class UnderflowError(ValueError):
-    """A factor that a computation divides by underflows to 0 in doubles."""
+    """A divisor of a computation is too small in doubles: it underflows to
+    0, or the quotient overflows."""
 
 
 @dataclass(frozen=True)
@@ -144,14 +145,20 @@ def effective_potential(geom: ConeGeometry, consts: PhysicalConstants,
     V_eff(r) = -(hbar^2/2M) (1 - sigma^2) / (4 sigma^2 r^2).
 
     Attractive for sigma < 1, zero in flat space, repulsive for sigma > 1.
-    Equals -(hbar^2/2M) H(r)^2 wherever the embedding exists.
+    Equals -(hbar^2/2M) H(r)^2 wherever the embedding exists.  Raises
+    UnderflowError when 4 sigma^2 r^2 underflows to 0.
     """
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"r must be a finite real > 0, got {r!r}")
     s = geom.sigma
+    divisor = 4.0 * s * s * r * r
+    if divisor == 0.0:
+        raise UnderflowError(
+            f"4 sigma^2 r^2 underflows to 0 at sigma = {s!r}, r = {r!r}, so "
+            "V_eff cannot be formed")
     return -(consts.hbar ** 2 / (2.0 * consts.mass)) \
-        * (1.0 - s * s) / (4.0 * s * s * r * r)
+        * (1.0 - s * s) / divisor
 
 
 def effective_index_mu(geom: ConeGeometry, m: int) -> float:

@@ -16,22 +16,37 @@ Three oracles, all deliberately independent of the closed-form kernel code:
 
 Bessel evaluations here go through scipy (AMOS) rather than the package's own
 special-function layer, keeping the two routes of every comparison
-independent.  Eigenvalues come from LAPACK's tridiagonal bisection on Sturm
-sequences, dstebz, reached through scipy's Cython LAPACK API and called by
-ctypes, which releases the GIL for the call, so the solves of a
-spectrum_match_report run side by side on a pool of threads.  Of its four
-grids (coarse and refined, each also with r_min halved), the two coarse ones
-are solved from scratch by dstebz, and their eigenvalues are bit-identical to
-scipy.linalg.eigh_tridiagonal with index selection and lapack_driver="stebz",
-which makes the same LAPACK call.  The two refined grids are bisected by
-dstebz one value range at a time, in brackets around levels predicted from
-the coarse solves alone.  One Sturm count per grid certifies that bracket j
-holds level j; a grid it refuses is solved from scratch.
+independent.
+
+All of the oracles' parallel work runs on one pool of _WORKERS threads,
+which overlap in native code that releases the GIL.  Each worker runs
+numpy's OpenBLAS on one thread (openblas_set_num_threads_local, where
+numpy's OpenBLAS exports it; numpy's pthreads build applies it to the whole
+process), so no BLAS worker is left spinning after a product, and the
+transfer matrix's bits do not depend on OPENBLAS_NUM_THREADS.
+
+Eigenvalues come from LAPACK's tridiagonal bisection on Sturm sequences,
+dstebz, reached through scipy's Cython LAPACK API and called by ctypes,
+which releases the GIL for the call.  Of a spectrum_match_report's four
+grids per order (coarse and refined, each also with r_min halved), the two
+coarse ones are solved from scratch by dstebz, and their eigenvalues are
+bit-identical to scipy.linalg.eigh_tridiagonal with index selection and
+lapack_driver="stebz", which makes the same LAPACK call.  The two refined
+grids are bisected by dstebz one value range at a time, in brackets around
+levels predicted from the coarse solves alone.  One Sturm count per grid
+certifies that bracket j holds level j; a grid it refuses is solved from
+scratch.  A report for several orders stages the solves of all of them in
+one pass on the pool.  The transfer matrix's Bessel table is filled in
+bands of rows, and each of its products in blocks of rows, on the same
+pool.
 """
 
 import ctypes
+import glob
 import math
 import os
+import sys
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -97,6 +112,12 @@ def _quarter_plus_c(model: OscillatorModel, m: int,
     disc = m * m / s2 + model.kappa / (4.0 * s2)
     if mode is CurvatureTermMode.JENSEN_KOPPE:
         disc -= (1.0 - s2) / (4.0 * s2)
+    if not math.isfinite(disc):
+        raise UnderflowError(
+            f"1/4 + C, the radial operator's inverse-square coefficient, "
+            f"is {disc!r} at sigma = {model.geom.sigma!r}, kappa = "
+            f"{model.kappa!r}, m = {m}: sigma^2 = {s2!r} is too small a "
+            "divisor")
     return disc
 
 
@@ -274,9 +295,39 @@ def eigen_lowest(matrix: TridiagonalMatrix, k: int) -> np.ndarray:
     return levels
 
 
-# threads of the solver pool: a report's two coarse solves run side by side,
-# and each refined grid's brackets are split into this many parts
+# threads of the solver pool, the one pool of every oracle: the reports'
+# coarse solves run side by side, and each refined grid's brackets, each
+# transfer-matrix product and each Bessel table are split into this many
+# parts
 _WORKERS = 4
+
+
+def _blas_threads_setter():
+    """openblas_set_num_threads_local of the OpenBLAS that numpy bundles, or
+    None where numpy bundles none that exports it."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_set_num_threads_local",
+                     "scipy_openblas_set_num_threads_local64_"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+                return setter
+    return None
+
+
+_SET_BLAS_THREADS = _blas_threads_setter()
+
+
+def _one_blas_thread():
+    # The pool's initializer.  An OpenBLAS call on two threads leaves the
+    # idle one spinning on a core for the library's thread timeout, a core
+    # the pool's next solves need; a worker's products on one BLAS thread
+    # leave none.  OpenBLAS's pthreads builds, numpy's among them, keep this
+    # count for the whole process.
+    if _SET_BLAS_THREADS is not None:
+        _SET_BLAS_THREADS(1)
 
 
 def _start_solver_pool():
@@ -284,7 +335,8 @@ def _start_solver_pool():
     # threads
     global _SOLVES
     _SOLVES = ThreadPoolExecutor(max_workers=_WORKERS,
-                                 thread_name_prefix="coneqm-eigen")
+                                 thread_name_prefix="coneqm-eigen",
+                                 initializer=_one_blas_thread)
 
 
 _start_solver_pool()
@@ -325,24 +377,28 @@ def _solve_brackets(d: np.ndarray, e: np.ndarray, centres: np.ndarray,
     return np.array(solved).T
 
 
-def _eigen_near(matrix: TridiagonalMatrix, centres: np.ndarray,
-                half_widths: np.ndarray) -> np.ndarray:
-    """The len(centres) smallest eigenvalues, ascending, each bisected inside
-    its bracket centres[i] +- half_widths[i] by _solve_brackets, in
-    _WORKERS parts on the solver pool, so within dstebz's absolute
-    tolerance of eigen_lowest's value.
-
-    One count certifies the grid: with the final brackets sorted and
-    disjoint, each holding one level, and exactly k levels at or below the
-    top of the last, bracket j holds level j.  A grid with a refused bracket
-    or certificate is solved by eigen_lowest instead, bit for bit.
-    """
+def _submit_near(matrix: TridiagonalMatrix, centres: np.ndarray,
+                 half_widths: np.ndarray):
+    """Start bisecting the len(centres) smallest eigenvalues of matrix, each
+    inside its bracket centres[i] +- half_widths[i], by _solve_brackets in
+    _WORKERS parts on the solver pool; _collect_near takes what this
+    returns."""
     k = len(centres)
     d = _real_vector(matrix.diagonal, matrix.dimension, "diagonal")
     e = _real_vector(matrix.offdiagonal, matrix.dimension - 1, "offdiagonal")
     jobs = [_SOLVES.submit(_solve_brackets, d, e, centres[part],
                            half_widths[part])
             for part in np.array_split(np.arange(k), min(k, _WORKERS))]
+    return matrix, k, d, e, jobs
+
+
+def _collect_near(matrix: TridiagonalMatrix, k: int, d: np.ndarray,
+                  e: np.ndarray, jobs) -> np.ndarray:
+    """The levels a _submit_near started, ascending, once one count
+    certifies them: with the final brackets sorted and disjoint, each
+    holding one level, and exactly k levels at or below the top of the last,
+    bracket j holds level j.  A grid with a refused bracket or certificate
+    is solved by eigen_lowest instead, bit for bit."""
     parts = [job.result() for job in jobs]
     if all(part is not None for part in parts):
         levels, lows, highs = np.concatenate(parts, axis=1)
@@ -354,6 +410,15 @@ def _eigen_near(matrix: TridiagonalMatrix, centres: np.ndarray,
             if info == 0 and len(below) == k:
                 return levels
     return _SOLVES.submit(eigen_lowest, matrix, k).result()
+
+
+def _eigen_near(matrix: TridiagonalMatrix, centres: np.ndarray,
+                half_widths: np.ndarray) -> np.ndarray:
+    """The len(centres) smallest eigenvalues, ascending, each bisected inside
+    its bracket centres[i] +- half_widths[i] (_submit_near), so within
+    dstebz's absolute tolerance of eigen_lowest's value, and certified or
+    solved from scratch (_collect_near): one grid's bracketed solve."""
+    return _collect_near(*_submit_near(matrix, centres, half_widths))
 
 
 def podolsky_index(model: OscillatorModel, m: int) -> float:
@@ -429,32 +494,50 @@ def _level_gaps(levels: np.ndarray) -> np.ndarray:
 
 
 def _report_levels(matrices, k: int):
-    """k lowest levels of a report's coarse, refined, halved-r_min coarse
-    and halved-r_min refined matrices, in that order.
+    """k lowest levels of every matrix in matrices, which holds a report's
+    coarse, refined, halved-r_min coarse and halved-r_min refined matrices,
+    in that order, for each report in turn.
 
-    The two coarse grids are solved from scratch by eigen_lowest, side by
-    side on the pool (looked up in the module at call time).  The refined
-    grid is then bisected in brackets around the coarse levels, and the
-    halved-r_min refined grid around fine + (half_coarse - coarse).  The
-    brackets come from these solves alone.  An error in any solve is raised
-    here as it is.
+    The solves are staged on the pool, and only the calling thread waits on
+    it.  First every coarse grid is solved from scratch by eigen_lowest
+    (looked up in the module at call time).  Each refined grid is then
+    bracketed around its coarse levels as soon as they arrive, and once its
+    levels are in, each halved-r_min refined grid around
+    fine + (half_coarse - coarse).  The brackets come from these solves
+    alone.  An error in any solve is raised here as it is.
     """
-    coarse_m, fine_m, half_m, half_fine_m = matrices
-    coarse_job = _SOLVES.submit(eigen_lowest, coarse_m, k)
-    half_job = _SOLVES.submit(eigen_lowest, half_m, k)
-    coarse = coarse_job.result()
-    gaps = _level_gaps(coarse)
-    fine = _eigen_near(fine_m, coarse, _FINE_SHARE * gaps)
-    half_coarse = half_job.result()
-    half_fine = _eigen_near(half_fine_m, fine + (half_coarse - coarse),
-                            _HALF_FINE_SHARE * gaps)
-    return coarse, fine, half_coarse, half_fine
+    reports = [matrices[i:i + 4] for i in range(0, len(matrices), 4)]
+    coarse_jobs = [_SOLVES.submit(eigen_lowest, mats[0], k)
+                   for mats in reports]
+    half_jobs = [_SOLVES.submit(eigen_lowest, mats[2], k)
+                 for mats in reports]
+    coarse, gaps, fine_jobs = [], [], []
+    for mats, job in zip(reports, coarse_jobs):
+        coarse.append(job.result())
+        gaps.append(_level_gaps(coarse[-1]))
+        fine_jobs.append(_submit_near(mats[1], coarse[-1],
+                                      _FINE_SHARE * gaps[-1]))
+    staged = []
+    for mats, c, gap, fine_job, half_job in zip(reports, coarse, gaps,
+                                                 fine_jobs, half_jobs):
+        fine = _collect_near(*fine_job)
+        half_coarse = half_job.result()
+        staged.append((c, fine, half_coarse,
+                       _submit_near(mats[3], fine + (half_coarse - c),
+                                    _HALF_FINE_SHARE * gap)))
+    levels = []
+    for c, fine, half_coarse, half_fine_job in staged:
+        levels += [c, fine, half_coarse, _collect_near(*half_fine_job)]
+    return levels
 
 
-def spectrum_match_report(model: OscillatorModel, m: int,
-                          mode: CurvatureTermMode, grid: RadialGrid,
-                          k: int) -> SpectrumMatchReport:
+def spectrum_match_report(model: OscillatorModel, m: int | Sequence[int],
+                          mode: CurvatureTermMode, grid: RadialGrid, k: int,
+                          ) -> SpectrumMatchReport | list:
     """Compare eigensolver levels against the analytic path-integral spectrum.
+
+    m is one angular order, which gives one SpectrumMatchReport, or a
+    sequence of orders, which gives a list of reports in the same order.
 
     Eigenvalues are Richardson-extrapolated in the grid spacing (second
     order), with the default (Frobenius) inner boundary of
@@ -470,59 +553,74 @@ def spectrum_match_report(model: OscillatorModel, m: int,
     above, and is "inconclusive" when the threshold cannot resolve the
     Jensen-Koppe / Podolsky gap.
 
-    The four matrices (coarse and refined, each also with r_min halved) are
-    built in the calling thread and solved in units of hbar omega, so that
-    the bisection's squares of the off-diagonal stay in the double range at
-    any omega.  The two coarse matrices are solved from scratch by
-    eigen_lowest, side by side on the solver pool, and their levels are
-    bit-identical to eigh_tridiagonal's.  The two refined matrices are
-    bisected by dstebz only inside brackets around levels those solves
-    predict, and one Sturm count per grid certifies that bracket j holds
-    level j; each level is within dstebz's absolute tolerance of
-    eigen_lowest's value.  An error in any solve is raised here as it is.
+    The four matrices of each order (coarse and refined, each also with
+    r_min halved) are built in the calling thread, all of them before any
+    solve starts, and solved in units of hbar omega, so that the
+    bisection's squares of the off-diagonal stay in the double range at any
+    omega.  The solves of all orders run in one staged pass on the solver
+    pool (_report_levels), so a sequence of orders keeps the pool busy
+    where one report at a time would leave it waiting.  The coarse matrices
+    are solved from scratch by eigen_lowest, and their levels are
+    bit-identical to eigh_tridiagonal's.  The refined matrices are bisected
+    by dstebz only inside brackets around levels those solves predict, and
+    one Sturm count per grid certifies that bracket j holds level j; each
+    level is within dstebz's absolute tolerance of eigen_lowest's value.
+    Every report is the same, bit for bit, whether its order comes alone or
+    in a sequence.  An error in any solve is raised here as it is.
     """
+    many = isinstance(m, Sequence)
+    orders = list(m) if many else [m]
     hbar_omega = model.consts.hbar * model.omega
     half_grid = RadialGrid(0.5 * grid.r_min, grid.r_max, grid.points)
-    matrices = []
-    for g in (grid, grid.refined(), half_grid, half_grid.refined()):
-        mat = radial_hamiltonian_matrix(model, m, mode, g)
-        matrices.append(TridiagonalMatrix(
-            diagonal=mat.diagonal / hbar_omega,
-            offdiagonal=mat.offdiagonal / hbar_omega))
-    coarse, fine, half_coarse, half_fine = [
-        levels * hbar_omega for levels in _report_levels(matrices, k)]
-    e_rich, disc_est = _richardson(coarse, fine)
-    e_rich_half, _ = _richardson(half_coarse, half_fine)
+    matrices, indices = [], []
+    for order in orders:
+        for g in (grid, grid.refined(), half_grid, half_grid.refined()):
+            mat = radial_hamiltonian_matrix(model, order, mode, g)
+            matrices.append(TridiagonalMatrix(
+                diagonal=mat.diagonal / hbar_omega,
+                offdiagonal=mat.offdiagonal / hbar_omega))
+        indices.append((model.nu(order), podolsky_index(model, order)))
+    solved = [levels * hbar_omega for levels in _report_levels(matrices, k)]
 
-    nu = model.nu(m)
-    nu_p = podolsky_index(model, m)
-    idx = nu if mode is CurvatureTermMode.JENSEN_KOPPE else nu_p
-    # E(a) - E(0) ~ a^{2 idx}: infer the full wall error from the halving step
-    if idx > 0.05:
-        wall_factor = 1.0 / (1.0 - 2.0 ** (-2.0 * idx))
-    else:
-        # marginal index: logarithmic convergence in the cutoff
-        wall_factor = math.log(2.0 / grid.r_min) / math.log(2.0)
-    wall_est = np.abs(e_rich - e_rich_half) * wall_factor
-
-    gap = hbar_omega * abs(nu_p - nu)
-    levels = []
-    for n in range(k):
-        analytic = energy(model, QuantumNumbers(n, m))
-        est = float(disc_est[n] + wall_est[n]) + 1.0e-12 * abs(analytic)
-        dev = abs(float(e_rich[n]) - analytic)
-        threshold = 10.0 * est
-        if dev <= threshold:
-            verdict = "matches"
-        elif gap > 0.0 and threshold >= gap:
-            verdict = "inconclusive"
+    reports = []
+    for i, (order, (nu, nu_p)) in enumerate(zip(orders, indices)):
+        coarse, fine, half_coarse, half_fine = solved[4 * i:4 * i + 4]
+        e_rich, disc_est = _richardson(coarse, fine)
+        e_rich_half, _ = _richardson(half_coarse, half_fine)
+        idx = nu if mode is CurvatureTermMode.JENSEN_KOPPE else nu_p
+        # E(a) - E(0) ~ a^{2 idx}: infer the full wall error from the
+        # halving step
+        if idx > 0.05:
+            wall_factor = 1.0 / (1.0 - 2.0 ** (-2.0 * idx))
         else:
-            verdict = "excludes"
-        levels.append(LevelComparison(
-            n=n, numeric=float(e_rich[n]), analytic=analytic,
-            abs_dev=dev, rel_dev=dev / abs(analytic),
-            est_error=est, verdict=verdict))
-    return SpectrumMatchReport(m=m, mode=mode, mode_gap=gap, levels=levels)
+            # marginal index: logarithmic convergence in the cutoff
+            wall_factor = math.log(2.0 / grid.r_min) / math.log(2.0)
+        wall_est = np.abs(e_rich - e_rich_half) * wall_factor
+
+        gap = hbar_omega * abs(nu_p - nu)
+        levels = []
+        for n in range(k):
+            analytic = energy(model, QuantumNumbers(n, order))
+            est = float(disc_est[n] + wall_est[n]) + 1.0e-12 * abs(analytic)
+            dev = abs(float(e_rich[n]) - analytic)
+            threshold = 10.0 * est
+            if dev <= threshold:
+                verdict = "matches"
+            elif gap > 0.0 and threshold >= gap:
+                verdict = "inconclusive"
+            else:
+                verdict = "excludes"
+            levels.append(LevelComparison(
+                n=n, numeric=float(e_rich[n]), analytic=analytic,
+                abs_dev=dev, rel_dev=dev / abs(analytic),
+                est_error=est, verdict=verdict))
+        reports.append(SpectrumMatchReport(m=order, mode=mode, mode_gap=gap,
+                                           levels=levels))
+    return reports if many else reports[0]
+
+
+# largest x whose e^x is a finite double
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def recombination_ratio(geom: ConeGeometry, consts: PhysicalConstants, m: int,
@@ -552,8 +650,13 @@ def recombination_ratio(geom: ConeGeometry, consts: PhysicalConstants, m: int,
     numer = s * float(ive(abs(m), s * s * w))
     if s == 1.0:
         return 1.0
-    v_eff = effective_potential(geom, consts, r_hat)
-    denom = math.exp(-v_eff * eps / consts.hbar) * float(ive(abs(m) / s, w))
+    exponent = -effective_potential(geom, consts, r_hat) * eps / consts.hbar
+    if exponent > _LOG_DOUBLE_MAX:
+        raise UnderflowError(
+            f"the recombined factor e^(-V_eff eps/hbar) overflows at sigma = "
+            f"{s!r}, m = {m!r}, eps = {eps!r}: its exponent is {exponent!r}, "
+            f"as sigma^2 = {s * s!r} is too small a divisor")
+    denom = math.exp(exponent) * float(ive(abs(m) / s, w))
     if denom == 0.0:
         raise UnderflowError(
             f"the recombined factor underflows to 0 at sigma = {s!r}, "
@@ -578,6 +681,25 @@ class TransferMatrixResult:
 _SUBNORMAL_BELOW = np.finfo(float).tiny
 
 
+def _bessel_band(table: np.ndarray, order: int, c: float, r: np.ndarray,
+                 lo: int, hi: int) -> None:
+    # Rows lo..hi-1 of the symmetric table ive(order, c r_i r_j), from the
+    # diagonal rightwards, and their mirror images: the entries whose
+    # smaller index lies in the band, written in place.  c * (r_i r_j) is
+    # the same double either way round, so the mirror is exact.
+    right = table[lo:hi, hi:]
+    np.multiply(r[lo:hi, None], r[None, hi:], out=right)
+    right *= c
+    ive(order, right, out=right)
+    table[hi:, lo:hi] = right.T
+    for i in range(lo, hi):
+        row = table[i, i:hi]
+        np.multiply(r[i], r[i:hi], out=row)
+        row *= c
+        ive(order, row, out=row)
+        table[i:hi, i] = row
+
+
 def _short_time_matrix(model: OscillatorModel, m: int, r: np.ndarray,
                        eps: float) -> np.ndarray:
     # Euclidean short-time m-channel kernel on the grid; the identity
@@ -587,22 +709,38 @@ def _short_time_matrix(model: OscillatorModel, m: int, r: np.ndarray,
     M = model.consts.mass
     hbar = model.consts.hbar
     s = model.geom.sigma
-    v = np.array([potential(model, ri) for ri in r])
-    # The Bessel argument c r_i r_j is exactly symmetric in (i, j), so the
-    # (costly) ive is evaluated on the upper triangle, row by row to keep
-    # temporaries small, and mirrored.
+    n = len(r)
+    # The (costly) Bessel table is filled on the pool in _WORKERS bands of
+    # rows, each holding about as many entries on or right of the diagonal,
+    # while this thread forms the Gaussian.
     c = M * s * s / (hbar * eps)
-    bessel = np.empty((len(r), len(r)))
-    for i in range(len(r)):
-        bessel[i, i:] = ive(abs(m), c * (r[i] * r[i:]))
-        bessel[i:, i] = bessel[i, i:]
+    bessel = np.empty((n, n))
+    edges = [round(n * (1.0 - math.sqrt(1.0 - i / _WORKERS)))
+             for i in range(_WORKERS + 1)]
+    bands = [_SOLVES.submit(_bessel_band, bessel, abs(m), c, r, lo, hi)
+             for lo, hi in zip(edges, edges[1:])]
+    v = np.array([potential(model, ri) for ri in r])
     kern = -(M / (2.0 * hbar * eps)) * (r[:, None] - r[None, :]) ** 2
     kern -= v[:, None] * eps / hbar
     np.exp(kern, out=kern)
     kern *= (M / (hbar * eps)) * s
+    for band in bands:
+        band.result()
     kern *= bessel
     kern[kern < _SUBNORMAL_BELOW] = 0.0
     return kern
+
+
+def _pooled_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a @ b in _WORKERS blocks of rows, one matmul each on the pool; a
+    # row's bits do not depend on the block it falls in
+    out = np.empty((len(a), b.shape[1]))
+    edges = [len(a) * i // _WORKERS for i in range(_WORKERS + 1)]
+    blocks = [_SOLVES.submit(np.matmul, a[lo:hi], b, out=out[lo:hi])
+              for lo, hi in zip(edges, edges[1:])]
+    for block in blocks:
+        block.result()
+    return out
 
 
 def transfer_matrix_kernel(model: OscillatorModel, m: int, grid: RadialGrid,
@@ -616,7 +754,9 @@ def transfer_matrix_kernel(model: OscillatorModel, m: int, grid: RadialGrid,
     K_2 = K_1 W K_1, K_4 = K_2 W K_2, ... is combined over the set bits of
     n_slices, which takes at most 2 log2(n_slices) matrix products instead
     of n_slices - 1.  The quadratures are the same ones as in the
-    slice-by-slice product, only associated differently.
+    slice-by-slice product, only associated differently.  Each product runs
+    in _WORKERS blocks of rows on the solver pool, on one BLAS thread each,
+    so its bits do not depend on the caller's BLAS thread count.
 
     The short-time kernel uses the integer angular order m throughout; the
     composed result converges (first order in beta/n_slices) to the
@@ -639,11 +779,12 @@ def transfer_matrix_kernel(model: OscillatorModel, m: int, grid: RadialGrid,
     bits = n_slices
     while True:
         if bits & 1:
-            out = doubled if out is None else out @ (w * doubled)
+            out = doubled if out is None else _pooled_product(out,
+                                                              w * doubled)
         bits >>= 1
         if not bits:
             break
-        doubled = doubled @ (w * doubled)
+        doubled = _pooled_product(doubled, w * doubled)
     return TransferMatrixResult(
         values=out, grid=grid, n_slices=n_slices, eps=eps,
         thermal_width=width, resolution_ok=width >= 3.0 * grid.spacing,

@@ -692,6 +692,22 @@ def test_verify_transfer_suite_passes(capsys):
     assert any("first-order" in c for c in cases)
 
 
+def test_verify_transfer_stdout_does_not_depend_on_blas_threads():
+    # every product runs on one BLAS thread of a pool worker, whose kernels
+    # are the same whatever OPENBLAS_NUM_THREADS says
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coneqm.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "coneqm.cli", "verify", "--suite",
+             "transfer", "--sigma", "0.7"],
+            env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_verify_spectrum_podolsky_excludes_and_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "spectrum",
                        "--mode", "podolsky")
@@ -729,13 +745,37 @@ def test_verify_underflowing_divisor_exit_2(capsys, argv, names):
     assert all(name in err for name in names)
 
 
+@pytest.mark.parametrize("argv, names", [
+    # sigma^2 = 1e-320 is subnormal: kappa/(4 sigma^2) overflows to inf, and
+    # the Jensen-Koppe term makes 1/4 + C inf - inf = nan
+    (("--sigma", "1e-160", "--kappa", "7.75", "--suite", "spectrum"),
+     ("is nan", "sigma = 1e-160", "kappa = 7.75", "m = 0")),
+    (("--sigma", "1e-160", "--kappa", "7.75", "--suite", "spectrum",
+      "--mode", "podolsky"),
+     ("is inf", "sigma = 1e-160", "kappa = 7.75", "m = 0")),
+    # e^{-V_eff eps/hbar} = e^{(1 - sigma^2) eps/(8 sigma^2)} past e^709
+    (("--sigma", "0.0015", "--suite", "recombination"),
+     ("overflows", "sigma = 0.0015", "m = 1", "eps = 0.02",
+      "exponent is 1111.1")),
+    # 4 sigma^2 r^2 in V_eff underflows to 0
+    (("--sigma", "1e-170", "--suite", "recombination"),
+     ("underflows to 0", "sigma = 1e-170", "r = 1.0")),
+])
+def test_verify_too_small_sigma_squared_exit_2(capsys, argv, names):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "too small a divisor" in err or "underflows to 0" in err
+    assert all(name in err for name in names), err
+
+
 @pytest.mark.parametrize("flags, code", [
     ((), 0),
     (("--mode", "podolsky"), 0),
     (("--sigma", "1", "--kappa", "0"), 0),
     # thresholds above the Jensen-Koppe / Podolsky gap still call "matches"
     (("--mode", "podolsky", "--sigma", "0.999"), 1),
-    # ImaginaryIndexError from podolsky_index, after the pooled solves
+    # ImaginaryIndexError from podolsky_index, before any solve
     (("--sigma", "2", "--kappa", "-3"), 2),
     # ImaginaryIndexError from the matrix build, before any solve
     (("--sigma", "2", "--kappa", "-3", "--mode", "podolsky"), 2),

@@ -6,10 +6,10 @@ import pytest
 
 from coneqm.geometry import (ConeGeometry, ImaginaryIndexError,
                              NotEmbeddableError, PhysicalConstants,
-                             cone_from_deficit_angle, cone_from_sigma,
-                             cone_from_string_density, coupled_index_nu,
-                             deficit_angle, effective_index_mu,
-                             effective_potential, embed,
+                             UnderflowError, cone_from_deficit_angle,
+                             cone_from_sigma, cone_from_string_density,
+                             coupled_index_nu, deficit_angle,
+                             effective_index_mu, effective_potential, embed,
                              gaussian_curvature_strength, mean_curvature,
                              string_density)
 
@@ -128,6 +128,16 @@ def test_effective_potential_values():
     assert effective_potential(cone_from_sigma(1.5), NAT, 1.0) > 0.0
     with pytest.raises(ValueError):
         effective_potential(cone_from_sigma(0.5), NAT, 0.0)
+
+
+def test_effective_potential_with_underflowing_divisor_raises():
+    # 4 sigma^2 r^2 = 4e-340 rounds to 0: a named error, not a bare
+    # division by zero
+    with pytest.raises(UnderflowError,
+                       match=r"sigma = 1e-170, r = 1\.0"):
+        effective_potential(ConeGeometry(1e-170), NAT, 1.0)
+    with pytest.raises(UnderflowError, match=r"sigma = 0\.5, r = 1e-170"):
+        effective_potential(ConeGeometry(0.5), NAT, 1e-170)
 
 
 @pytest.mark.parametrize("sigma", [0.2, 0.5, 0.8, 1.0])

@@ -22,11 +22,13 @@ import coneqm
 SOURCE = os.path.dirname(os.path.abspath(coneqm.__file__))
 
 CLOSED_FORM = ("geometry", "grids", "specfun", "spectrum", "propagator")
-TRANSFER_BODIES = ("_short_time_matrix", "transfer_matrix_kernel")
+TRANSFER_BODIES = ("_short_time_matrix", "_bessel_band", "_pooled_product",
+                   "transfer_matrix_kernel")
 ORDER_NAMES = {"nu", "coupled_index_nu", "podolsky_index", "_quarter_plus_c",
                "_regular_exponent"}
 BRACKET_BODIES = ("_report_levels", "_level_gaps", "_eigen_near",
-                  "_solve_brackets", "_stebz")
+                  "_submit_near", "_collect_near", "_solve_brackets",
+                  "_stebz")
 CLOSED_FORM_NAMES = {"energy", "nu", "coupled_index_nu", "podolsky_index"}
 
 

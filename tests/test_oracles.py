@@ -563,6 +563,18 @@ def test_operator_with_underflowing_sigma_squared_raises():
             radial_hamiltonian_matrix(m, 0, mode, RadialGrid(1e-3, 6.0, 100))
 
 
+def test_operator_with_non_finite_quarter_plus_c_raises():
+    # sigma^2 = 1e-320 is subnormal, not 0: kappa/(4 sigma^2) overflows to
+    # inf, and the Jensen-Koppe term makes 1/4 + C inf - inf
+    m = model(sigma=1e-160, kappa=7.75)
+    for mode, value in ((CurvatureTermMode.JENSEN_KOPPE, "nan"),
+                        (CurvatureTermMode.PODOLSKY, "inf")):
+        with pytest.raises(UnderflowError, match=rf"is {value} at sigma = "
+                           r"1e-160, kappa = 7\.75, m = 0: sigma\^2 = "
+                           r"1e-320 is too small a divisor"):
+            radial_hamiltonian_matrix(m, 0, mode, RadialGrid(1e-3, 6.0, 100))
+
+
 # --------------------------------------------------- spectrum match report
 
 
@@ -755,6 +767,134 @@ def test_reports_work_in_a_forked_child():
     assert child.exitcode == 0
 
 
+def test_sequence_of_orders_gives_each_report_bit_for_bit():
+    # one call with a sequence stages every solve of its orders together;
+    # each report equals the one its order gives alone, on seeded sets
+    rng = np.random.default_rng(20261020)
+    checked = 0
+    while checked < 8:
+        sigma = float(rng.uniform(0.3, 2.0))
+        kappa = (1.0 - sigma ** 2, 1.0, 2.0)[rng.integers(3)]
+        mode = list(CurvatureTermMode)[rng.integers(2)]
+        grid = RadialGrid(1e-3, 12.0, int(rng.integers(200, 1500)))
+        k = int(rng.integers(1, 9))
+        orders = [int(o) for o in rng.permutation(5)[:rng.integers(1, 5)]]
+        mdl = model(sigma, kappa)
+        try:
+            alone = [spectrum_match_report(mdl, o, mode, grid, k)
+                     for o in orders]
+        except ImaginaryIndexError:
+            continue                 # Podolsky m = 0 with kappa < 0
+        together = spectrum_match_report(mdl, orders, mode, grid, k)
+        assert isinstance(together, list)
+        assert together == alone, (sigma, kappa, mode, grid.points, k)
+        assert [_report_bits(r) for r in together] == \
+            [_report_bits(r) for r in alone]
+        checked += 1
+    # a tuple and a range are sequences too; an empty one gives no report
+    mdl, grid = model(), RadialGrid(1e-3, 12.0, 300)
+    mode = CurvatureTermMode.JENSEN_KOPPE
+    assert spectrum_match_report(mdl, (2, 0), mode, grid, 3) == \
+        spectrum_match_report(mdl, [2, 0], mode, grid, 3)
+    assert spectrum_match_report(mdl, range(2), mode, grid, 3) == \
+        spectrum_match_report(mdl, [0, 1], mode, grid, 3)
+    assert spectrum_match_report(mdl, (), mode, grid, 3) == []
+
+
+def test_error_in_one_report_of_a_sequence_reaches_caller_unchanged(
+        monkeypatch):
+    mdl, grid = model(), RadialGrid(1e-3, 12.0, 300)
+    mode = CurvatureTermMode.JENSEN_KOPPE
+    serial = [spectrum_match_report(mdl, o, mode, grid, 3) for o in range(3)]
+    real_eigen, real_brackets = oracles.eigen_lowest, oracles._solve_brackets
+    boom = RuntimeError("solve failed")
+    fine_1 = _report_matrices(mdl, 1, mode, grid)[1].diagonal
+    coarse_2 = _report_matrices(mdl, 2, mode, grid)[0].diagonal
+
+    def failing_brackets(d, *rest):
+        if np.array_equal(d, fine_1):        # order 1's refined grid
+            raise boom
+        return real_brackets(d, *rest)
+
+    monkeypatch.setattr(oracles, "_solve_brackets", failing_brackets)
+    with pytest.raises(RuntimeError) as caught:
+        spectrum_match_report(mdl, (0, 1, 2), mode, grid, 3)
+    assert caught.value is boom
+
+    def failing_eigen(matrix, k):
+        if np.array_equal(matrix.diagonal, coarse_2):  # order 2's coarse grid
+            raise boom
+        return real_eigen(matrix, k)
+
+    monkeypatch.setattr(oracles, "_solve_brackets", real_brackets)
+    monkeypatch.setattr(oracles, "eigen_lowest", failing_eigen)
+    with pytest.raises(RuntimeError) as caught:
+        spectrum_match_report(mdl, (0, 1, 2), mode, grid, 3)
+    assert caught.value is boom
+
+    # every matrix is built before any solve starts: order 0's Podolsky
+    # operator at kappa < 0 is refused with nothing submitted
+    solved = []
+    monkeypatch.setattr(oracles, "eigen_lowest",
+                        lambda matrix, k: solved.append(matrix))
+    with pytest.raises(ImaginaryIndexError, match="m=0"):
+        spectrum_match_report(model(2.0, -3.0), (1, 0),
+                              CurvatureTermMode.PODOLSKY, grid, 3)
+    assert solved == []
+    # the pool is left working
+    monkeypatch.setattr(oracles, "eigen_lowest", real_eigen)
+    assert spectrum_match_report(mdl, (0, 1, 2), mode, grid, 3) == serial
+
+
+def test_callers_mixing_reports_and_transfers_match_serial_results():
+    # six callers share the one pool, more than it has threads, with a
+    # short switch interval: no job waits on the pool, so all finish
+    import sys
+    import threading
+    mdl = model(sigma=0.5, kappa=1.0)
+    spec_grid = RadialGrid(1e-3, 12.0, 800)
+    tm_grid = RadialGrid(1e-3, 8.0, 200)
+    jobs = [("report", (0, 1, 2), CurvatureTermMode.JENSEN_KOPPE),
+            ("transfer", 8, None),
+            ("report", 1, CurvatureTermMode.PODOLSKY),
+            ("transfer", 5, None),
+            ("report", [2, 0], CurvatureTermMode.PODOLSKY),
+            ("transfer", 16, None)]
+
+    def run(kind, arg, mode):
+        if kind == "report":
+            got = spectrum_match_report(mdl, arg, mode, spec_grid, 4)
+            return [_report_bits(r) for r in
+                    (got if isinstance(got, list) else [got])]
+        return transfer_matrix_kernel(mdl, 1, tm_grid, 1.0, arg).values
+
+    serial = [run(*job) for job in jobs]
+    start = threading.Barrier(len(jobs))
+    got = [None] * len(jobs)
+
+    def work(i):
+        start.wait()
+        got[i] = run(*jobs[i])
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (kind, _, _), want, have in zip(jobs, serial, got):
+        if kind == "report":
+            assert have == want
+        else:
+            assert np.array_equal(have.view(np.int64), want.view(np.int64))
+
+
 def test_mode_gap_resolved_across_parameter_grid():
     # the operationalized discrimination claim: for sigma != 1 the
     # Jensen-Koppe run matches the analytic ladder while Podolsky stays a
@@ -930,6 +1070,17 @@ def test_recombination_underflowing_factor_raises():
     with pytest.raises(UnderflowError, match=r"sigma = 0\.00193006794155092"
                        r"98, m = 1, eps = 0\.02: .* = 50\.0"):
         recombination_ratio(geom, NAT, 1, 1.0, 0.02)
+
+
+def test_recombination_overflowing_potential_factor_raises():
+    # e^{-V_eff eps/hbar} = e^{(1 - sigma^2) eps/(8 sigma^2 r_hat^2)} is
+    # e^1111 at sigma = 0.0015, eps = 0.02
+    with pytest.raises(UnderflowError, match=r"sigma = 0\.0015, m = 1, "
+                       r"eps = 0\.02: its exponent is 1111\.1"):
+        recombination_ratio(ConeGeometry(0.0015), NAT, 1, 1.0, 0.02)
+    # sigma^2 = 1e-310 is subnormal: V_eff itself overflows to -inf
+    with pytest.raises(UnderflowError, match=r"its exponent is inf"):
+        recombination_ratio(ConeGeometry(1e-155), NAT, 1, 1.0, 0.02)
 
 
 # --------------------------------------------------------- transfer matrix
@@ -1111,6 +1262,74 @@ def test_transfer_short_time_subnormals_are_flushed_without_moving_bits(
     for n in (32, 64):
         assert np.array_equal(flushed[n].view(np.int64),
                               kept[n].view(np.int64)), n
+
+
+def _row_by_row_short_time_matrix(mdl, m, r, eps):
+    # the short-time kernel with its Bessel table filled one row at a time
+    # in the calling thread
+    from scipy.special import ive
+
+    from coneqm.spectrum import potential
+    M, hbar, s = mdl.consts.mass, mdl.consts.hbar, mdl.geom.sigma
+    v = np.array([potential(mdl, ri) for ri in r])
+    c = M * s * s / (hbar * eps)
+    bessel = np.empty((len(r), len(r)))
+    for i in range(len(r)):
+        bessel[i, i:] = ive(abs(m), c * (r[i] * r[i:]))
+        bessel[i:, i] = bessel[i, i:]
+    kern = -(M / (2.0 * hbar * eps)) * (r[:, None] - r[None, :]) ** 2
+    kern -= v[:, None] * eps / hbar
+    np.exp(kern, out=kern)
+    kern *= (M / (hbar * eps)) * s
+    kern *= bessel
+    kern[kern < np.finfo(float).tiny] = 0.0
+    return kern
+
+
+@pytest.mark.parametrize("points, m, eps", [
+    (450, 1, 1.0 / 32), (400, 1, 1.0 / 16), (200, 0, 0.5), (16, 3, 0.05)])
+def test_banded_bessel_table_equals_the_row_by_row_table(points, m, eps):
+    mdl = model(sigma=0.5, kappa=1.0)
+    r = RadialGrid(1e-3, 8.0, points).values
+    want = _row_by_row_short_time_matrix(mdl, m, r, eps)
+    got = oracles._short_time_matrix(mdl, m, r, eps)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # fewer rows than bands leaves some bands empty
+    for n in (1, 2, 3):
+        got = oracles._short_time_matrix(mdl, m, r[:n], eps)
+        want = _row_by_row_short_time_matrix(mdl, m, r[:n], eps)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_any_split_into_bands_fills_the_same_table():
+    from scipy.special import ive
+    r = RadialGrid(1e-3, 8.0, 120).values
+    c = 3.7
+    want = np.empty((120, 120))
+    for i in range(120):
+        want[i, i:] = ive(1, c * (r[i] * r[i:]))
+        want[i:, i] = want[i, i:]
+    for edges in ([0, 120], [0, 1, 119, 120], [0, 7, 7, 64, 120]):
+        table = np.full((120, 120), np.nan)
+        for lo, hi in zip(edges, edges[1:]):
+            oracles._bessel_band(table, 1, c, r, lo, hi)
+        assert np.array_equal(table.view(np.int64), want.view(np.int64))
+
+
+def test_transfer_leaves_no_blas_thread_spinning():
+    # a multi-threaded OpenBLAS product leaves its idle worker spinning on a
+    # core for the library's thread timeout; with every product on one BLAS
+    # thread of a pool worker, a sleep right after the call burns no CPU
+    import time
+    mdl = model(sigma=0.5, kappa=1.0)
+    grid = RadialGrid(1e-3, 8.0, 400)
+    time.sleep(0.3)                     # earlier spinners time out
+    transfer_matrix_kernel(mdl, 1, grid, 1.0, 16)
+    start = time.process_time()
+    time.sleep(0.1)
+    assert time.process_time() - start < 0.02
+    # numpy's OpenBLAS exports the setter in this environment
+    assert oracles._SET_BLAS_THREADS is not None
 
 
 # --------------------------------------------- eigenfunction residual check
