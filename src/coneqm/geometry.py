@@ -27,7 +27,7 @@ class ImaginaryIndexError(ValueError):
 
 class UnderflowError(ValueError):
     """A divisor of a computation is too small in doubles: it underflows to
-    0, or the quotient overflows."""
+    0, or the quotient overflows; or a square overflows."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def effective_potential(geom: ConeGeometry, consts: PhysicalConstants,
 
     Attractive for sigma < 1, zero in flat space, repulsive for sigma > 1.
     Equals -(hbar^2/2M) H(r)^2 wherever the embedding exists.  Raises
-    UnderflowError when 4 sigma^2 r^2 underflows to 0.
+    UnderflowError when 4 sigma^2 r^2 underflows to 0 or hbar^2 overflows.
     """
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
@@ -157,8 +157,13 @@ def effective_potential(geom: ConeGeometry, consts: PhysicalConstants,
         raise UnderflowError(
             f"4 sigma^2 r^2 underflows to 0 at sigma = {s!r}, r = {r!r}, so "
             "V_eff cannot be formed")
-    return -(consts.hbar ** 2 / (2.0 * consts.mass)) \
-        * (1.0 - s * s) / divisor
+    try:
+        hbar2 = consts.hbar ** 2
+    except OverflowError:
+        raise UnderflowError(
+            f"hbar^2 overflows at hbar = {consts.hbar!r}, so V_eff cannot be "
+            "formed") from None
+    return -(hbar2 / (2.0 * consts.mass)) * (1.0 - s * s) / divisor
 
 
 def effective_index_mu(geom: ConeGeometry, m: int) -> float:

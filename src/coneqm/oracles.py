@@ -16,7 +16,11 @@ Three oracles, all deliberately independent of the closed-form kernel code:
 
 Bessel evaluations here go through scipy (AMOS) rather than the package's own
 special-function layer, keeping the two routes of every comparison
-independent.
+independent.  No scipy module loads with this one: ive looks up
+scipy.special.ive on its first call, and the first dstebz call loads the
+LAPACK routine, so importing coneqm and running its closed-form code load
+no scipy.  ive refuses, by AmosRangeError, an order or argument past the
+range AMOS computes, where scipy's ive returns NaN.
 
 All of the oracles' parallel work runs on one pool of _WORKERS threads,
 which overlap in native code that releases the GIL.  Each worker runs
@@ -27,7 +31,9 @@ transfer matrix's bits do not depend on OPENBLAS_NUM_THREADS.
 
 Eigenvalues come from LAPACK's tridiagonal bisection on Sturm sequences,
 dstebz, reached through scipy's Cython LAPACK API and called by ctypes,
-which releases the GIL for the call.  Of a spectrum_match_report's four
+which releases the GIL for the call.  The first call imports
+scipy.linalg.cython_lapack, takes dstebz from it and checks its C signature
+(ImportError if it differs).  Of a spectrum_match_report's four
 grids per order (coarse and refined, each also with r_min halved), the two
 coarse ones are solved from scratch by dstebz, and their eigenvalues are
 bit-identical to scipy.linalg.eigh_tridiagonal with index selection and
@@ -52,8 +58,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import LinAlgError, cython_lapack
-from scipy.special import ive
+from numpy.linalg import LinAlgError     # the class scipy.linalg raises too
 
 from .geometry import (ConeGeometry, ImaginaryIndexError, PhysicalConstants,
                        UnderflowError, effective_potential)
@@ -61,11 +66,40 @@ from .grids import RadialGrid
 from .spectrum import OscillatorModel, QuantumNumbers, energy, potential
 
 __all__ = [
-    "RadialGrid", "CurvatureTermMode", "InnerBoundary", "TridiagonalMatrix",
+    "RadialGrid", "AmosRangeError", "CurvatureTermMode", "InnerBoundary",
+    "TridiagonalMatrix",
     "LevelComparison", "SpectrumMatchReport", "TransferMatrixResult",
     "radial_hamiltonian_matrix", "eigen_lowest", "podolsky_index",
     "spectrum_match_report", "recombination_ratio", "transfer_matrix_kernel",
 ]
+
+
+class AmosRangeError(ValueError):
+    """A Bessel order or argument past the range AMOS computes."""
+
+
+# AMOS's zbesi refuses |z| or an order above I1MACH(9)/2 = 2^30 - 1/2, and
+# scipy's ive returns NaN there
+_AMOS_MAX = 0.5 * (2 ** 31 - 1)
+_amos_ive = None
+
+
+def ive(v, z, out=None):
+    """scipy.special.ive(v, z, out=out): AMOS's e^{-|Re z|} I_v(z) for one
+    real order v, scipy.special looked up on the first call.  Raises
+    AmosRangeError, before any AMOS call, when |v| or the largest |z| is
+    past AMOS's range."""
+    global _amos_ive
+    largest = np.abs(z).max(initial=0.0)
+    if abs(v) > _AMOS_MAX or largest > _AMOS_MAX:
+        raise AmosRangeError(
+            f"scipy's ive (AMOS) has no value at order {v!r} and argument "
+            f"{float(largest)!r}: AMOS computes I_v(x) only for |v| and |x| "
+            f"up to {_AMOS_MAX!r}")
+    if _amos_ive is None:      # threads racing here all import one module
+        import scipy.special
+        _amos_ive = scipy.special.ive
+    return _amos_ive(v, z, out=out)
 
 
 class CurvatureTermMode(Enum):
@@ -104,7 +138,12 @@ def _quarter_plus_c(model: OscillatorModel, m: int,
     # The -1/4 of the centrifugal term cancels the indicial 1/4 exactly, so
     # 1/4 + C is summed without it: on the kappa = 1 - sigma^2 boundary the
     # Jensen-Koppe s-wave then gives exactly 0 (the p = 1/2 double root).
-    s2 = model.geom.sigma ** 2
+    try:
+        s2 = model.geom.sigma ** 2
+    except OverflowError:
+        raise UnderflowError(
+            f"sigma^2 overflows at sigma = {model.geom.sigma!r}, so the "
+            "radial operator's 1/sigma^2 terms cannot be formed") from None
     if s2 == 0.0:
         raise UnderflowError(
             f"sigma^2 underflows to 0 at sigma = {model.geom.sigma!r}, so "
@@ -176,7 +215,13 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
     h = grid.spacing
     r = grid.values[1:-1]
     M = model.consts.mass
-    kin = model.consts.hbar ** 2 / (2.0 * M)
+    try:
+        kin = model.consts.hbar ** 2 / (2.0 * M)
+    except OverflowError:
+        raise UnderflowError(
+            f"hbar^2 overflows at hbar = {model.consts.hbar!r}, so the "
+            "radial operator's kinetic factor hbar^2/2M cannot be "
+            "formed") from None
     disc = _quarter_plus_c(model, m, mode)
     wr = model.omega * r
     diag = (2.0 * kin / (h * h)
@@ -224,8 +269,20 @@ def _load_lapack(capsules, name, prototype):
     return prototype(get_pointer(capsule, signature))
 
 
-_dstebz = _load_lapack(cython_lapack.__pyx_capi__, "dstebz",
-                       _DSTEBZ_PROTOTYPE)
+# dstebz once the first _dstebz call has loaded it
+_loaded_dstebz = None
+
+
+def _dstebz(*args):
+    """LAPACK dstebz through _DSTEBZ_PROTOTYPE, loaded by the first call;
+    pool threads racing to it wait on importlib's module lock, so all of
+    them bind the one scipy.linalg.cython_lapack."""
+    global _loaded_dstebz
+    if _loaded_dstebz is None:
+        from scipy.linalg import cython_lapack
+        _loaded_dstebz = _load_lapack(cython_lapack.__pyx_capi__, "dstebz",
+                                      _DSTEBZ_PROTOTYPE)
+    _loaded_dstebz(*args)
 
 
 def _stebz(d: np.ndarray, e: np.ndarray, range_: bytes, vl: float,

@@ -188,7 +188,7 @@ def enumerate_states(model: OscillatorModel, e_max: float,
     lies above e_max, since nu(m, sigma) grows with |m|.  Each m's
     floor((e_max/(hbar omega) - 1 - nu)/2) + 1 levels are counted in closed
     form before they are built, and ValueError is raised once the count
-    passes 1,000,000.
+    passes 1,000,000, or where e_max/(hbar omega) overflows.
     """
     e_max = float(e_max)
     if not math.isfinite(e_max) or e_max <= 0.0:
@@ -202,13 +202,17 @@ def enumerate_states(model: OscillatorModel, e_max: float,
         if energy(model, QuantumNumbers(0, m_abs)) > e_max:
             break
         nu = model.nu(m_abs)
-        levels = math.floor((e_max / hbar_omega - 1.0 - nu) / 2.0) + 1
+        span = (e_max / hbar_omega - 1.0 - nu) / 2.0 if hbar_omega \
+            else math.inf
+        # past the double range the levels count as inf
+        levels = math.floor(span) + 1 if span < math.inf else math.inf
         count += levels if m_abs == 0 else 2 * levels
         if count > _MAX_STATES:
             raise ValueError(
-                f"e_max={e_max!r} with m_max={m_max} lists at least {count} "
-                f"states (counted up to |m| = {m_abs}), more than "
-                f"{_MAX_STATES}; lower e_max or m_max")
+                f"e_max={e_max!r} with hbar omega = {hbar_omega!r} and "
+                f"m_max={m_max} lists at least {count:.3g} states (counted "
+                f"up to |m| = {m_abs}), more than {_MAX_STATES}; lower e_max "
+                "or m_max")
         for m in ([0] if m_abs == 0 else [-m_abs, m_abs]):
             n = 0
             while True:

@@ -147,7 +147,32 @@ def test_spectrum_state_budget_exit_2(capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 2
     assert out == ""
-    assert "500000000 states" in err
+    assert "5e+08 states" in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    # hbar omega = 1e-310 and e_max / (hbar omega) overflows
+    (("--e-max", "1e10", "--hbar", "1e-300", "--omega", "1e-10"),
+     ("e_max=10000000000.0", "hbar omega = 1e-310")),
+    (("--e-max", "1e300", "--hbar", "1e-300"),
+     ("e_max=1e+300", "hbar omega = 1e-300")),
+    # hbar omega underflows to 0
+    (("--e-max", "1", "--hbar", "1e-300", "--omega", "1e-30"),
+     ("e_max=1.0", "hbar omega = 0.0")),
+])
+def test_spectrum_overflowing_level_count_exit_2(capsys, argv, names):
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 2
+    assert out == ""
+    assert "at least inf states" in err and "overflow" not in err
+    assert all(name in err for name in names), err
+
+
+def test_spectrum_state_budget_prints_three_digits(capsys):
+    # 5e299 levels, not their 300-digit integer
+    code, out, err = run(capsys, "spectrum", "--e-max", "1e300")
+    assert code == 2
+    assert "at least 5e+299 states" in err and len(err) < 200
 
 
 # ------------------------------------------------------------ wavefunction
@@ -767,6 +792,50 @@ def test_verify_too_small_sigma_squared_exit_2(capsys, argv, names):
     assert out == ""
     assert "too small a divisor" in err or "underflows to 0" in err
     assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("argv, names", [
+    # sigma^2 overflows in the radial operator's inverse-square terms
+    (("--suite", "spectrum", "--sigma", "2e154"),
+     ("sigma^2 overflows", "sigma = 2e+154")),
+    # hbar^2 overflows in the radial operator's kinetic factor
+    (("--suite", "spectrum", "--hbar", "1e200"),
+     ("hbar^2 overflows", "hbar = 1e+200")),
+    # and in V_eff
+    (("--suite", "recombination", "--hbar", "1e200"),
+     ("hbar^2 overflows", "hbar = 1e+200", "V_eff")),
+])
+def test_verify_overflowing_square_exit_2(capsys, argv, names):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "Numerical result out of range" not in err
+    assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("suite, largest", [
+    # sigma^2 M r_hat^2/(hbar eps) = 9e6 / 0.005
+    ("recombination", "argument 1800000000.0"),
+    # c r_i r_j of the Bessel table, first refused in one band's block
+    ("transfer", "argument 1"),
+])
+def test_verify_past_amos_range_exit_2(capsys, suite, largest):
+    # scipy's ive is NaN past |x| = 2^30 - 1/2: refused, not reported
+    code, out, err = run(capsys, "verify", "--suite", suite,
+                         "--sigma", "3000")
+    assert code == 2
+    assert out == ""
+    assert "sigma = 3000.0" in err and largest in err
+    assert "up to 1073741823.5" in err
+
+
+def test_verify_recombination_identity_in_oscillator_units(capsys):
+    # the sigma = 1 identity's Bessel argument M r_hat^2/(hbar eps) is 10 in
+    # any units, so a small hbar keeps it in AMOS's range
+    code, out, err = run(capsys, "verify", "--suite", "recombination",
+                         "--hbar", "1e-10")
+    assert code == 0, err
+    assert json.loads(out)["records"][0]["actual"] == 1.0
 
 
 @pytest.mark.parametrize("flags, code", [

@@ -9,11 +9,16 @@
     brackets come only from its own solves: the bodies that form and
     bisect them name neither an effective order nor the analytic energy.
 
-Every import statement counts, at module level or inside a function.
+Every import statement counts, at module level or inside a function.  The
+run-time half of (a) runs the closed-form subcommands in a fresh interpreter
+and finds no scipy module loaded.
 """
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -113,3 +118,37 @@ def test_the_bracket_check_sees_the_closed_form():
     # the report itself names the analytic ladder it compares against
     assert names_in("spectrum_match_report") & CLOSED_FORM_NAMES == {
         "energy", "nu", "podolsky_index"}
+
+
+# Loaded scipy modules after `import coneqm` and after each subcommand, run
+# one after the other through cli.main in one fresh interpreter; verify's
+# spectrum suite runs last.
+_RUN_COMMANDS = """
+import json, os, sys
+loaded = lambda: sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))
+import coneqm
+from coneqm.cli import main
+found = {"import coneqm": loaded()}
+for argv in (["convert", "--sigma", "0.5"], ["spectrum", "--e-max", "10"],
+             ["wavefunction", "--n", "1", "--m", "0"],
+             ["kernel", "--r1", "1", "--r2", "1.2", "--beta", "0.8"],
+             ["verify", "--suite", "spectrum"]):
+    found[argv[0]] = [main(argv + ["--output", os.devnull]), loaded()]
+print(json.dumps(found))
+"""
+
+
+def test_closed_form_subcommands_load_no_scipy():
+    done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS],
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.path.dirname(SOURCE)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    assert found.pop("import coneqm") == []
+    code, verify_loaded = found.pop("verify")
+    assert found == {name: [0, []] for name in
+                     ("convert", "spectrum", "wavefunction", "kernel")}
+    # the spectrum oracle loads scipy's LAPACK at its first solve
+    assert code == 0 and "scipy.linalg.cython_lapack" in verify_loaded

@@ -10,7 +10,12 @@ transfer-matrix tests measure the first-order convergence constant of the
 time-sliced kernel.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +239,47 @@ def test_dlaebz_signature_is_checked_on_load():
     with pytest.raises(ImportError, match=r"exports dstebz as 'void \(int \*"):
         oracles._load_lapack({"dstebz": wrong}, "dstebz",
                              oracles._DSTEBZ_PROTOTYPE)
+
+
+# A fresh interpreter whose first solve is a report over several orders, so
+# that pool threads race to the first dstebz call.  Prints, as JSON, the
+# report's levels (hex), whether one-order reports give the same bits, and
+# whether a later import of scipy.linalg.cython_lapack and eigh_tridiagonal
+# still work.
+_FIRST_LOAD = """
+import json
+from coneqm import oracles
+from coneqm.geometry import ConeGeometry, PhysicalConstants
+from coneqm.grids import RadialGrid
+from coneqm.spectrum import OscillatorModel
+model = OscillatorModel(ConeGeometry(0.5), PhysicalConstants(), 1.0, 1.0)
+grid = RadialGrid(1e-3, 12.0, 300)
+mode = oracles.CurvatureTermMode.JENSEN_KOPPE
+reports = oracles.spectrum_match_report(model, range(6), mode, grid, 4)
+levels = [[lv.numeric.hex() for lv in r.levels] for r in reports]
+alone = [[lv.numeric.hex() for lv in
+          oracles.spectrum_match_report(model, m, mode, grid, 4).levels]
+         for m in range(6)]
+import scipy.linalg.cython_lapack
+from scipy.linalg import eigh_tridiagonal
+mat = oracles.radial_hamiltonian_matrix(model, 1, mode, grid)
+ref = eigh_tridiagonal(mat.diagonal, mat.offdiagonal, eigvals_only=True,
+                       select="i", select_range=(0, 3), lapack_driver="stebz")
+print(json.dumps({"levels": levels, "alone": alone == levels,
+                  "eigh": ref.tobytes() == oracles.eigen_lowest(mat, 4).tobytes(),
+                  "capi": "dstebz" in scipy.linalg.cython_lapack.__pyx_capi__}))
+"""
+
+
+def test_threads_racing_to_the_first_solve_load_dstebz():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracles.__file__)))
+    done = subprocess.run([sys.executable, "-c", _FIRST_LOAD],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert len(got["levels"]) == 6
+    assert got["alone"] and got["eigh"] and got["capi"]
 
 
 # ------------------------------------------------------- bracketed solve
@@ -1081,6 +1127,25 @@ def test_recombination_overflowing_potential_factor_raises():
     # sigma^2 = 1e-310 is subnormal: V_eff itself overflows to -inf
     with pytest.raises(UnderflowError, match=r"its exponent is inf"):
         recombination_ratio(ConeGeometry(1e-155), NAT, 1, 1.0, 0.02)
+
+
+def test_ive_refuses_arguments_past_amos_range():
+    from scipy.special import ive as amos
+    top = oracles._AMOS_MAX
+    past = math.nextafter(top, math.inf)
+    # where scipy's ive has no value, at orders 0.5, 1 and 30 alike
+    assert math.isfinite(amos(1, top))
+    assert all(math.isnan(amos(v, past)) for v in (0.5, 1, 30))
+    assert oracles.ive(1, top) == amos(1, top)
+    for v, z in ((0.5, past), (1, -past), (30, np.array([1.0, past, 2.0])),
+                 (past, 1.0), (1, math.inf)):
+        with pytest.raises(oracles.AmosRangeError,
+                           match=r"no value at order .* and argument "):
+            oracles.ive(v, z)
+    out = np.empty(3)
+    assert oracles.ive(1, np.array([0.5, 2.0, 40.0]), out=out) is out
+    assert out.tobytes() == amos(1, np.array([0.5, 2.0, 40.0])).tobytes()
+    assert oracles.ive(1, np.empty((0, 3))).shape == (0, 3)
 
 
 # --------------------------------------------------------- transfer matrix
