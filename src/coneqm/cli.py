@@ -87,7 +87,7 @@ def _resolve_model(args) -> OscillatorModel:
                            omega=merged["omega"], kappa=merged["kappa"])
 
 
-def _add_model_flags(p):
+def _add_model_flags(p, table=True):
     p.add_argument("--sigma", type=float, help="deficit parameter (> 0)")
     p.add_argument("--omega", type=float, help="oscillator frequency (> 0)")
     p.add_argument("--kappa", type=float,
@@ -96,8 +96,14 @@ def _add_model_flags(p):
     p.add_argument("--mass", type=float, help="particle mass (> 0)")
     p.add_argument("--hbar", type=float, help="hbar (> 0)")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default csv)")
+    _add_output_flags(p, table)
+
+
+def _add_output_flags(p, table=True):
+    # verify always writes its JSON report, so it takes no --format
+    if table:
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default csv)")
     p.add_argument("--output", help="write to this path instead of stdout")
 
 
@@ -343,8 +349,7 @@ def _suite_normalization(model) -> list:
 
 def _cmd_verify(args) -> int:
     model = _resolve_model(args)
-    mode = (CurvatureTermMode.PODOLSKY if args.mode == "podolsky"
-            else CurvatureTermMode.JENSEN_KOPPE)
+    mode = CurvatureTermMode(args.mode)
     wanted = args.suite or list(_SUITES)
     records = []
     if "spectrum" in wanted:
@@ -379,8 +384,7 @@ def _build_parser():
     p.add_argument("--sigma", type=float)
     p.add_argument("--deficit-angle", dest="deficit_angle", type=float)
     p.add_argument("--g-eta", dest="g_eta", type=float)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output")
+    _add_output_flags(p)
 
     p = sub.add_parser("spectrum", help="enumerate bound states")
     _add_model_flags(p)
@@ -408,11 +412,11 @@ def _build_parser():
                    help="fail (exit 3) if the tail bound exceeds this")
 
     p = sub.add_parser("verify", help="run the oracle verification suites")
-    _add_model_flags(p)
+    _add_model_flags(p, table=False)
     p.add_argument("--suite", action="append", choices=_SUITES,
                    help="suite to run (repeatable; default: all)")
-    p.add_argument("--mode", choices=("jensen-koppe", "podolsky"),
-                   default="jensen-koppe",
+    p.add_argument("--mode", default=CurvatureTermMode.JENSEN_KOPPE.value,
+                   choices=[mode.value for mode in CurvatureTermMode],
                    help="curvature term for the spectrum suite")
     return parser
 

@@ -469,15 +469,6 @@ def _collect_near(matrix: TridiagonalMatrix, k: int, d: np.ndarray,
     return _SOLVES.submit(eigen_lowest, matrix, k).result()
 
 
-def _eigen_near(matrix: TridiagonalMatrix, centres: np.ndarray,
-                half_widths: np.ndarray) -> np.ndarray:
-    """The len(centres) smallest eigenvalues, ascending, each bisected inside
-    its bracket centres[i] +- half_widths[i] (_submit_near), so within
-    dstebz's absolute tolerance of eigen_lowest's value, and certified or
-    solved from scratch (_collect_near): one grid's bracketed solve."""
-    return _collect_near(*_submit_near(matrix, centres, half_widths))
-
-
 def podolsky_index(model: OscillatorModel, m: int) -> float:
     """Bessel order sqrt(4 m^2 + kappa)/(2 sigma) of the curvature-free
     (Podolsky) radial equation; an artifact-derived reference, coincides with
@@ -703,10 +694,10 @@ def recombination_ratio(geom: ConeGeometry, consts: PhysicalConstants, m: int,
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValueError(f"eps must be a finite real > 0, got {eps!r}")
     s = geom.sigma
-    w = consts.mass * r_hat * r_hat / (consts.hbar * eps)
-    numer = s * float(ive(abs(m), s * s * w))
     if s == 1.0:
         return 1.0
+    w = consts.mass * r_hat * r_hat / (consts.hbar * eps)
+    numer = s * float(ive(abs(m), s * s * w))
     exponent = -effective_potential(geom, consts, r_hat) * eps / consts.hbar
     if exponent > _LOG_DOUBLE_MAX:
         raise UnderflowError(
@@ -816,8 +807,9 @@ def transfer_matrix_kernel(model: OscillatorModel, m: int, grid: RadialGrid,
     so its bits do not depend on the caller's BLAS thread count.
 
     The short-time kernel uses the integer angular order m throughout; the
-    composed result converges (first order in beta/n_slices) to the
-    closed-form kernel carrying the effective order nu(m, sigma).
+    composed result converges to the closed-form kernel carrying the
+    effective order nu(m, sigma), at a local order in beta/n_slices near
+    min(1, nu) (measured, not derived: 0.49 at nu = 0.5, 0.67 at 0.71).
     ``resolution_ok`` is False when the short-time kernel width
     sqrt(hbar eps / M) falls under three grid spacings, i.e. the quadrature
     can no longer resolve a single slice.

@@ -869,6 +869,20 @@ def test_verify_failing_record_exits_1(capsys, monkeypatch):
     assert report["records"][0]["case"] == "forced failure"
 
 
+def test_verify_writes_json_to_output_and_refuses_format(capsys, tmp_path):
+    # verify's report is always JSON, so a --format it would ignore is a
+    # usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "recombination", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--suite", "recombination",
+                       "--output", str(path))
+    assert code == 0 and out == ""
+    assert suites_of(path.read_text()) == {"recombination"}
+
+
 def test_verify_sigma_one_modes_identical(capsys):
     _, out_jk, _ = run(capsys, "verify", "--suite", "spectrum",
                        "--sigma", "1", "--kappa", "1")

@@ -1,13 +1,17 @@
 """The two invariants of the package, read from its source.
 
-(a) The two Bessel routes stay apart: the closed-form modules import nothing
+(a) The two Bessel routes stay apart: the closed-form modules, every module
+    of the package but ``oracles``, ``cli`` and ``__init__``, import nothing
     from scipy or from ``coneqm.oracles``, and the oracles import nothing
     from ``coneqm.specfun`` or ``coneqm.propagator``.
-(b) The transfer matrix never receives nu(m, sigma): the bodies that build
-    and compose its short-time kernels name none of the functions that
+(b) The transfer matrix never receives nu(m, sigma): no function that
+    ``transfer_matrix_kernel`` reaches names one of the functions that
     compute an effective order.  Likewise the eigensolver's refined-grid
-    brackets come only from its own solves: the bodies that form and
-    bisect them name neither an effective order nor the analytic energy.
+    brackets come only from its own solves: no function that
+    ``_report_levels`` reaches names an effective order or the analytic
+    energy.  A function is reached when a reached body uses its name, called
+    or passed as an argument, in its own module or through the package's
+    relative imports; the walk starts at the two roots in ``oracles``.
 
 Every import statement counts, at module level or inside a function.  The
 run-time half of (a) runs the closed-form subcommands in a fresh interpreter
@@ -26,15 +30,17 @@ import coneqm
 
 SOURCE = os.path.dirname(os.path.abspath(coneqm.__file__))
 
-CLOSED_FORM = ("geometry", "grids", "specfun", "spectrum", "propagator")
-TRANSFER_BODIES = ("_short_time_matrix", "_bessel_band", "_pooled_product",
-                   "transfer_matrix_kernel")
+CLOSED_FORM = sorted(
+    name[:-3] for name in os.listdir(SOURCE)
+    if name.endswith(".py") and name[:-3] not in ("oracles", "cli",
+                                                  "__init__"))
+TRANSFER_ROOT = "transfer_matrix_kernel"
+BRACKET_ROOT = "_report_levels"
+# marginal is OscillatorModel's test of nu(0) == 0
 ORDER_NAMES = {"nu", "coupled_index_nu", "podolsky_index", "_quarter_plus_c",
-               "_regular_exponent"}
-BRACKET_BODIES = ("_report_levels", "_level_gaps", "_eigen_near",
-                  "_submit_near", "_collect_near", "_solve_brackets",
-                  "_stebz")
-CLOSED_FORM_NAMES = {"energy", "nu", "coupled_index_nu", "podolsky_index"}
+               "_regular_exponent", "marginal"}
+CLOSED_FORM_NAMES = {"energy", "nu", "coupled_index_nu", "podolsky_index",
+                     "marginal"}
 
 
 def parse(module):
@@ -76,26 +82,89 @@ def test_oracles_import_no_closed_form_kernel_code():
     assert reaches(names, "coneqm.propagator") == []
 
 
-def names_in(function):
-    """Every name and attribute that the body of oracles.<function> uses."""
-    bodies = [node for node in ast.walk(parse("oracles"))
-              if isinstance(node, ast.FunctionDef) and node.name == function]
-    assert len(bodies) == 1
-    named = {node.id for node in ast.walk(bodies[0])
-             if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(bodies[0])
-              if isinstance(node, ast.Attribute)}
-    return named
+def names_in(body):
+    """Every name and attribute that a function body uses."""
+    return {node.id for node in ast.walk(body) if isinstance(node, ast.Name)} \
+        | {node.attr for node in ast.walk(body)
+           if isinstance(node, ast.Attribute)}
 
 
-@pytest.mark.parametrize("function", TRANSFER_BODIES)
+def functions(module, trees):
+    """{name: body} of module's module-level functions.  trees caches the
+    parsed modules, and a test may seed it with an edited one."""
+    if module not in trees:
+        trees[module] = parse(module)
+    return {node.name: node for node in trees[module].body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def resolve(module, name, trees):
+    """What name means at the top of module: (module, function) for a
+    module-level function, followed through the package's relative imports;
+    a module name for a package module; None for anything else."""
+    if name in functions(module, trees):
+        return module, name
+    for node in ast.walk(trees[module]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if (alias.asname or alias.name) != name:
+                    continue
+                if node.module:
+                    return resolve(node.module, alias.name, trees)
+                return alias.name           # from . import <module>
+    return None
+
+
+def reached(root, trees):
+    """{(module, function): body} of oracles.<root> and of every function
+    that a body already reached names, or names as an attribute of a package
+    module."""
+    found = {}
+    todo = [("oracles", root)]
+    while todo:
+        module, function = todo.pop()
+        if (module, function) in found:
+            continue
+        body = found[module, function] = functions(module, trees)[function]
+        for node in ast.walk(body):
+            target = None
+            if isinstance(node, ast.Name):
+                target = resolve(module, node.id, trees)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)):
+                inner = resolve(module, node.value.id, trees)
+                if isinstance(inner, str):          # <module>.<name>
+                    target = resolve(inner, node.attr, trees)
+            if isinstance(target, tuple):
+                todo.append(target)
+    return found
+
+
+def violations(root, forbidden, trees):
+    """{"module.function": forbidden names it uses} over what root reaches."""
+    return {f"{module}.{function}": sorted(names_in(body) & forbidden)
+            for (module, function), body in reached(root, trees).items()
+            if names_in(body) & forbidden}
+
+
+def _id(key):
+    # a function of oracles, where both roots live, by its bare name
+    module, function = key
+    return function if module == "oracles" else f"{module}.{function}"
+
+
+TRANSFER = reached(TRANSFER_ROOT, {})
+BRACKETS = reached(BRACKET_ROOT, {})
+
+
+@pytest.mark.parametrize("function", sorted(TRANSFER), ids=_id)
 def test_transfer_matrix_never_names_an_effective_order(function):
-    assert sorted(names_in(function) & ORDER_NAMES) == []
+    assert sorted(names_in(TRANSFER[function]) & ORDER_NAMES) == []
 
 
-@pytest.mark.parametrize("function", BRACKET_BODIES)
+@pytest.mark.parametrize("function", sorted(BRACKETS), ids=_id)
 def test_bracketed_solve_never_names_the_closed_form(function):
-    assert sorted(names_in(function) & CLOSED_FORM_NAMES) == []
+    assert sorted(names_in(BRACKETS[function]) & CLOSED_FORM_NAMES) == []
 
 
 def test_the_checks_see_an_import_and_an_order():
@@ -116,8 +185,47 @@ def test_the_checks_see_an_import_and_an_order():
 
 def test_the_bracket_check_sees_the_closed_form():
     # the report itself names the analytic ladder it compares against
-    assert names_in("spectrum_match_report") & CLOSED_FORM_NAMES == {
+    report = functions("oracles", {})["spectrum_match_report"]
+    assert names_in(report) & CLOSED_FORM_NAMES == {
         "energy", "nu", "podolsky_index"}
+
+
+def planted(caller, helper):
+    """A parsed copy of oracles with helper, the source of one function of
+    model, added and called first thing in caller; the file is untouched."""
+    tree = parse("oracles")
+    definition = ast.parse(helper).body[0]
+    tree.body.append(definition)
+    trees = {"oracles": tree}
+    functions("oracles", trees)[caller].body.insert(
+        0, ast.parse(f"{definition.name}(model)").body[0])
+    return trees
+
+
+def test_the_transfer_check_follows_calls_to_a_planted_order():
+    assert violations(TRANSFER_ROOT, ORDER_NAMES, {}) == {}
+    trees = planted("_pooled_product",
+                    "def _planted(model):\n    return model.nu(1)\n")
+    assert violations(TRANSFER_ROOT, ORDER_NAMES, trees) == {
+        "oracles._planted": ["nu"]}
+    # and into a function named as an attribute of a package module
+    trees = planted("_bessel_band",
+                    "def _planted(model):\n"
+                    "    from . import spectrum\n"
+                    "    return spectrum.energy(model, None)\n")
+    assert violations(TRANSFER_ROOT, ORDER_NAMES, trees) == {
+        "spectrum.energy": ["nu"]}
+
+
+def test_the_bracket_check_follows_calls_to_a_planted_energy():
+    assert violations(BRACKET_ROOT, CLOSED_FORM_NAMES, {}) == {}
+    trees = planted("_solve_brackets",
+                    "def _planted(model):\n"
+                    "    return energy(model, QuantumNumbers(0, 1))\n")
+    found = violations(BRACKET_ROOT, CLOSED_FORM_NAMES, trees)
+    assert found.pop("oracles._planted") == ["energy"]
+    # the walk follows the import into the analytic energy, which reads nu
+    assert found == {"spectrum.energy": ["nu"]}
 
 
 # Loaded scipy modules after `import coneqm` and after each subcommand, run

@@ -395,7 +395,8 @@ def test_bracketed_solve_counts_then_bisects(monkeypatch):
     assert np.all(np.abs(got - levels[2:5]) <= _atoli(mat))
     # the whole grid: the brackets, then one count up to the last bracket
     calls.clear()
-    got = oracles._eigen_near(mat, levels + 0.3 * half, half)
+    got = oracles._collect_near(*oracles._submit_near(
+        mat, levels + 0.3 * half, half))
     assert np.all(np.abs(got - levels) <= _atoli(mat))
     assert sorted(_is_count(call) for call in calls) == [False] * 6 + [True]
     assert max(call[2] for call in calls) == levels[5] + 1.3 * half[5]
@@ -421,7 +422,7 @@ def test_counts_refuse_a_wrong_bracket_and_the_solve_falls_back(
         # bracket 2 holds two levels, every widening too
         assert len(calls) == 2 + oracles._WIDENINGS + 1
     calls.clear()
-    got = oracles._eigen_near(mat, centres, half)
+    got = oracles._collect_near(*oracles._submit_near(mat, centres, half))
     assert got.tobytes() == levels.tobytes()
     # refused before the certificate's count; then solved from scratch
     assert not any(_is_count(call) for call in calls)
@@ -434,7 +435,7 @@ def test_every_bracket_one_level_up_falls_back(monkeypatch):
     mat, levels, half, above = _bracket_case()
     centres = np.append(levels[1:], above)
     calls = _dstebz_calls(monkeypatch)
-    got = oracles._eigen_near(mat, centres, half)
+    got = oracles._collect_near(*oracles._submit_near(mat, centres, half))
     assert got.tobytes() == levels.tobytes()
     assert sum(1 for call in calls if _is_count(call)) == 1
     assert [call[0] for call in calls].count(b"I") == 1
@@ -453,7 +454,7 @@ def test_widening_finds_a_missed_level_and_budget_zero_falls_back(
     assert np.all(np.abs(got - levels) <= _atoli(mat))
     monkeypatch.setattr(oracles, "_WIDENINGS", 0)
     assert oracles._solve_brackets(d, e, centres, half) is None
-    got = oracles._eigen_near(mat, centres, half)
+    got = oracles._collect_near(*oracles._submit_near(mat, centres, half))
     assert got.tobytes() == levels.tobytes()
 
 
@@ -466,7 +467,8 @@ def test_bracketed_solve_of_a_matrix_dstebz_splits_falls_back(monkeypatch):
     mat = _tridiagonal(rng.normal(size=40), e)
     levels = eigen_lowest(mat, 5)
     calls = _dstebz_calls(monkeypatch)
-    got = oracles._eigen_near(mat, levels, np.full(5, 1e-3))
+    got = oracles._collect_near(*oracles._submit_near(
+        mat, levels, np.full(5, 1e-3)))
     assert np.all(np.abs(got - levels) <= _atoli(mat))
     assert [call[0] for call in calls] == [b"V"] * 6
 
@@ -1079,6 +1081,19 @@ def test_recombination_identity_at_sigma_one():
     g = ConeGeometry(1.0)
     for eps in (0.5, 0.1, 0.003):
         assert recombination_ratio(g, NAT, 1, 1.0, eps) == 1.0
+
+
+def test_recombination_at_sigma_one_makes_no_amos_call(monkeypatch):
+    # w = M r_hat^2/(hbar eps) = 1e12 is past AMOS's range, but the flat
+    # ratio is 1 without any Bessel value
+    g = ConeGeometry(1.0)
+    assert recombination_ratio(g, NAT, 1, 1.0, 1e-12) == 1.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ive called at sigma = 1")
+
+    monkeypatch.setattr(oracles, "ive", refuse)
+    assert recombination_ratio(g, NAT, 1, 1.0, 0.1) == 1.0
 
 
 def test_recombination_second_order_decay():

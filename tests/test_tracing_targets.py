@@ -4,10 +4,12 @@ still runs on it.
 ``bench/tracing.py`` replaces each ``(module, attribute)`` of its ``TARGETS``
 with ``getattr``/``setattr``, so deleting a traced name from the program
 breaks ``bench/run.py --trace 1``, and so does a change to an argument that
-one of its readers takes apart.  The tracer is loaded read-only from its
-file.
+one of its readers takes apart.  An import that the program keeps only for
+the tracer (``# noqa: F401``) names one of its targets.  The tracer is
+loaded read-only from its file.
 """
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -15,6 +17,7 @@ import os
 
 import numpy as np
 
+import coneqm
 from coneqm import cli, oracles
 from coneqm.geometry import ConeGeometry, PhysicalConstants
 from coneqm.grids import RadialGrid
@@ -38,6 +41,26 @@ def test_every_tracer_target_resolves():
     missing = [(module, attr) for module, attr, *_ in tracing.TARGETS
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_every_kept_import_is_a_tracer_target():
+    # once the tracer drops a target, this names the import to delete
+    targets = {(module, attr) for module, attr, *_ in _load_tracing().TARGETS}
+    package = os.path.dirname(os.path.abspath(coneqm.__file__))
+    kept = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            source = f.read()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                kept += [(f"coneqm.{name[:-3]}", alias.asname or alias.name)
+                         for alias in node.names]
+    assert [entry for entry in kept if entry not in targets] == []
 
 
 def _traced_entries(capsys):
