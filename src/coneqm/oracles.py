@@ -17,10 +17,10 @@ Three oracles, all deliberately independent of the closed-form kernel code:
 Bessel evaluations here go through scipy (AMOS) rather than the package's own
 special-function layer, keeping the two routes of every comparison
 independent.  No scipy module loads with this one: ive looks up
-scipy.special.ive on its first call, and the first dstebz call loads the
-LAPACK routine, so importing coneqm and running its closed-form code load
-no scipy.  ive refuses, by AmosRangeError, an order or argument past the
-range AMOS computes, where scipy's ive returns NaN.
+scipy.special.ive on its first call, so importing coneqm and running its
+closed-form code load no scipy, and verify loads scipy.special alone.  ive
+refuses, by AmosRangeError, an order or argument past the range AMOS
+computes, where scipy's ive returns NaN.
 
 All of the oracles' parallel work runs on one pool of _WORKERS threads,
 which overlap in native code that releases the GIL.  Each worker runs
@@ -30,13 +30,18 @@ process), so no BLAS worker is left spinning after a product, and the
 transfer matrix's bits do not depend on OPENBLAS_NUM_THREADS.
 
 Eigenvalues come from LAPACK's tridiagonal bisection on Sturm sequences,
-dstebz, reached through scipy's Cython LAPACK API and called by ctypes,
-which releases the GIL for the call.  The first call imports
-scipy.linalg.cython_lapack, takes dstebz from it and checks its C signature
-(ImportError if it differs).  Of a spectrum_match_report's four
-grids per order (coarse and refined, each also with r_min halved), the two
-coarse ones are solved from scratch by dstebz, and their eigenvalues are
-bit-identical to scipy.linalg.eigh_tridiagonal with index selection and
+dstebz, called by ctypes, which releases the GIL for the call.  The routine
+is taken by its symbol from the OpenBLAS that numpy bundles and has already
+loaded (scipy_dstebz_64_ in numpy 2.x, dstebz_64_ in numpy 1.2x; 64-bit
+integers).  It is the reference-LAPACK Fortran that scipy's own OpenBLAS
+compiles too, so its levels are bit-identical to scipy's.  Only where numpy
+bundles no OpenBLAS that exports it (numpy linked to Accelerate or to a
+system BLAS) does the first call import scipy.linalg.cython_lapack, take
+dstebz from it and check its C signature (ImportError if it differs).  Of
+a spectrum_match_report's four grids per order (coarse and refined, each
+also with r_min halved), the two coarse ones are solved from scratch by
+dstebz, and their eigenvalues are bit-identical to
+scipy.linalg.eigh_tridiagonal with index selection and
 lapack_driver="stebz", which makes the same LAPACK call.  The two refined
 grids are bisected by dstebz one value range at a time, in brackets around
 levels predicted from the coarse solves alone.  One Sturm count per grid
@@ -53,7 +58,7 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 
@@ -234,15 +239,27 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
     return TridiagonalMatrix(diagonal=diag, offdiagonal=off)
 
 
-# dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
-# isplit, work, iwork, info) as scipy.linalg.cython_lapack exports it: a C
-# function, so a ctypes call to it runs with the GIL released
 _INT_P = ctypes.POINTER(ctypes.c_int)
+_INT64_P = ctypes.POINTER(ctypes.c_int64)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-_DSTEBZ_PROTOTYPE = ctypes.CFUNCTYPE(
-    None, ctypes.c_char_p, ctypes.c_char_p, _INT_P, _DOUBLE_P, _DOUBLE_P,
-    _INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P,
-    _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P)
+
+
+def _dstebz_prototype(int_p, *lengths):
+    # dstebz(range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w,
+    # iblock, isplit, work, iwork, info), every argument by reference, with
+    # integers through int_p; a ctypes call runs with the GIL released
+    return ctypes.CFUNCTYPE(
+        None, ctypes.c_char_p, ctypes.c_char_p, int_p, _DOUBLE_P, _DOUBLE_P,
+        int_p, int_p, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, int_p, int_p,
+        _DOUBLE_P, int_p, int_p, _DOUBLE_P, int_p, int_p, *lengths)
+
+
+# the Fortran dstebz of numpy's OpenBLAS, built with 64-bit integers: after
+# the arguments come the hidden lengths of RANGE and ORDER
+_DSTEBZ_PROTOTYPE = _dstebz_prototype(_INT64_P, ctypes.c_size_t,
+                                      ctypes.c_size_t)
+# the C wrapper that scipy.linalg.cython_lapack exports: int integers
+_CAPSULE_PROTOTYPE = _dstebz_prototype(_INT_P)
 # how the capsule's signature spells each argument type (d is
 # cython_lapack's typedef of double)
 _C_SPELLING = {ctypes.c_char_p: "char *", _INT_P: "int *",
@@ -269,20 +286,51 @@ def _load_lapack(capsules, name, prototype):
     return prototype(get_pointer(capsule, signature))
 
 
-# dstebz once the first _dstebz call has loaded it
-_loaded_dstebz = None
+def _numpy_openblas(libs: str) -> list:
+    """ctypes handles of the OpenBLAS libraries that numpy bundles in the
+    directory libs: none for a numpy linked to another BLAS."""
+    return [ctypes.CDLL(path)
+            for path in glob.glob(os.path.join(libs, "*openblas*"))]
+
+
+def _exported(handles: list, prototype, names: tuple):
+    """The first of names that one of handles exports, called through
+    prototype; None where none of them does."""
+    for lib in handles:
+        for name in names:
+            if hasattr(lib, name):
+                return prototype((name, lib))
+    return None
+
+
+_OPENBLAS = _numpy_openblas(
+    os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs"))
+# dstebz as numpy 2.x and numpy 1.2x spell it in their OpenBLAS; None where
+# numpy bundles no OpenBLAS that exports it, and only there does the first
+# _dstebz call load scipy.linalg.cython_lapack's
+_NUMPY_DSTEBZ = _exported(_OPENBLAS, _DSTEBZ_PROTOTYPE,
+                          ("scipy_dstebz_64_", "dstebz_64_"))
+_capsule_dstebz = None
 
 
 def _dstebz(*args):
-    """LAPACK dstebz through _DSTEBZ_PROTOTYPE, loaded by the first call;
-    pool threads racing to it wait on importlib's module lock, so all of
-    them bind the one scipy.linalg.cython_lapack."""
-    global _loaded_dstebz
-    if _loaded_dstebz is None:
+    """LAPACK dstebz, called with the arguments of _DSTEBZ_PROTOTYPE.
+
+    The routine is _NUMPY_DSTEBZ, from the OpenBLAS numpy has already
+    loaded: reference-LAPACK Fortran, as in scipy's OpenBLAS, so the bits
+    are scipy's.  Where numpy bundles no OpenBLAS that exports it, and only
+    there, the first call loads the capsule of scipy.linalg.cython_lapack,
+    checking its signature; _stebz then passes int integers, and the
+    capsule's C wrapper takes no hidden lengths."""
+    global _capsule_dstebz
+    if _NUMPY_DSTEBZ is not None:
+        _NUMPY_DSTEBZ(*args)
+        return
+    if _capsule_dstebz is None:      # racing threads bind the one module
         from scipy.linalg import cython_lapack
-        _loaded_dstebz = _load_lapack(cython_lapack.__pyx_capi__, "dstebz",
-                                      _DSTEBZ_PROTOTYPE)
-    _loaded_dstebz(*args)
+        _capsule_dstebz = _load_lapack(cython_lapack.__pyx_capi__, "dstebz",
+                                       _CAPSULE_PROTOTYPE)
+    _capsule_dstebz(*args[:-2])
 
 
 def _stebz(d: np.ndarray, e: np.ndarray, range_: bytes, vl: float,
@@ -290,23 +338,28 @@ def _stebz(d: np.ndarray, e: np.ndarray, range_: bytes, vl: float,
     """(w, info) from LAPACK dstebz on the tridiagonal matrix (d, e), which
     must be contiguous float64: w holds, ascending, the eigenvalues in
     (vl, vu] for range_ b"V" or the iu smallest for b"I"."""
+    if _NUMPY_DSTEBZ is not None:
+        integer, integers, int_p = ctypes.c_int64, np.int64, _INT64_P
+    else:
+        integer, integers, int_p = ctypes.c_int, np.intc, _INT_P
     n = len(d)
     w = np.empty(n)
-    iblock = np.empty(n, dtype=np.intc)
-    isplit = np.empty(n, dtype=np.intc)
+    iblock = np.empty(n, dtype=integers)
+    isplit = np.empty(n, dtype=integers)
     work = np.empty(4 * n)
-    iwork = np.empty(3 * n, dtype=np.intc)
-    found, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    _dstebz(range_, b"E", ctypes.byref(ctypes.c_int(n)),
+    iwork = np.empty(3 * n, dtype=integers)
+    found, nsplit, info = integer(), integer(), integer()
+    _dstebz(range_, b"E", ctypes.byref(integer(n)),
             ctypes.byref(ctypes.c_double(vl)),
             ctypes.byref(ctypes.c_double(vu)),
-            ctypes.byref(ctypes.c_int(1)), ctypes.byref(ctypes.c_int(iu)),
+            ctypes.byref(integer(1)), ctypes.byref(integer(iu)),
             ctypes.byref(ctypes.c_double(abstol)),
             d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
             ctypes.byref(found), ctypes.byref(nsplit),
-            w.ctypes.data_as(_DOUBLE_P), iblock.ctypes.data_as(_INT_P),
-            isplit.ctypes.data_as(_INT_P), work.ctypes.data_as(_DOUBLE_P),
-            iwork.ctypes.data_as(_INT_P), ctypes.byref(info))
+            w.ctypes.data_as(_DOUBLE_P), iblock.ctypes.data_as(int_p),
+            isplit.ctypes.data_as(int_p), work.ctypes.data_as(_DOUBLE_P),
+            iwork.ctypes.data_as(int_p), ctypes.byref(info),
+            1, 1)                   # the lengths of range_ and b"E"
     return w[:found.value], info.value
 
 
@@ -328,11 +381,13 @@ def eigen_lowest(matrix: TridiagonalMatrix, k: int) -> np.ndarray:
     indices 1..k in ascending order with abstol 0, so each eigenvalue is
     located to an interval of width ~eps * ||T||, far inside the
     1e-10 * scale contract.  The call releases the GIL, so solves in other
-    threads run alongside it.  The values are bit-identical to
-    scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-    select_range=(0, k - 1), lapack_driver="stebz"), which makes the same
-    call, and the same inputs are refused: ValueError for a NaN or inf
-    entry or for arrays that are not 1-D of lengths n and n - 1,
+    threads run alongside it.  dstebz is numpy's OpenBLAS routine (the
+    capsule of scipy.linalg.cython_lapack only where numpy bundles none),
+    the same reference-LAPACK Fortran as scipy's, so the values are
+    bit-identical to scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
+    select="i", select_range=(0, k - 1), lapack_driver="stebz"), which
+    makes the same call, and the same inputs are refused: ValueError for a
+    NaN or inf entry or for arrays that are not 1-D of lengths n and n - 1,
     LinAlgError when LAPACK reports a failure or finds fewer than k.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -359,22 +414,12 @@ def eigen_lowest(matrix: TridiagonalMatrix, k: int) -> np.ndarray:
 _WORKERS = 4
 
 
-def _blas_threads_setter():
-    """openblas_set_num_threads_local of the OpenBLAS that numpy bundles, or
-    None where numpy bundles none that exports it."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("openblas_set_num_threads_local",
-                     "scipy_openblas_set_num_threads_local64_"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-                return setter
-    return None
-
-
-_SET_BLAS_THREADS = _blas_threads_setter()
+# openblas_set_num_threads_local of numpy's OpenBLAS, or None where numpy
+# bundles none that exports it
+_SET_BLAS_THREADS = _exported(
+    _OPENBLAS, ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int),
+    ("openblas_set_num_threads_local",
+     "scipy_openblas_set_num_threads_local64_"))
 
 
 def _one_blas_thread():
@@ -627,7 +672,16 @@ def spectrum_match_report(model: OscillatorModel, m: int | Sequence[int],
             matrices.append(TridiagonalMatrix(
                 diagonal=mat.diagonal / hbar_omega,
                 offdiagonal=mat.offdiagonal / hbar_omega))
-        indices.append((model.nu(order), podolsky_index(model, order)))
+        try:
+            nu_p = podolsky_index(model, order)
+        except ImaginaryIndexError:
+            if mode is CurvatureTermMode.PODOLSKY:
+                raise
+            # No Podolsky ladder (4 m^2 + kappa < 0): no rival ladder lies
+            # near the Jensen-Koppe one, the gap a verdict has to resolve is
+            # infinite, and every level "matches" or "excludes".
+            nu_p = math.inf
+        indices.append((model.nu(order), nu_p))
     solved = [levels * hbar_omega for levels in _report_levels(matrices, k)]
 
     reports = []
@@ -770,6 +824,15 @@ def _short_time_matrix(model: OscillatorModel, m: int, r: np.ndarray,
     v = np.array([potential(model, ri) for ri in r])
     kern = -(M / (2.0 * hbar * eps)) * (r[:, None] - r[None, :]) ** 2
     kern -= v[:, None] * eps / hbar
+    # row i's largest exponent is its diagonal entry, -V(r_i) eps/hbar
+    top = int(np.argmax(kern.diagonal()))
+    exponent = float(kern[top, top])
+    if exponent > _LOG_DOUBLE_MAX:
+        wait(bands)             # the table is dropped, with any error of it
+        raise UnderflowError(
+            f"the short-time factor e^(-V eps/hbar) overflows at grid node "
+            f"{top}, r = {float(r[top])!r}: its exponent is {exponent!r} at "
+            f"sigma = {s!r}, kappa = {model.kappa!r}, eps = {eps!r}")
     np.exp(kern, out=kern)
     kern *= (M / (hbar * eps)) * s
     for band in bands:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -743,14 +744,54 @@ def test_verify_spectrum_podolsky_excludes_and_passes(capsys):
 
 
 def test_verify_spectrum_imaginary_index_exit_2(capsys):
-    # sigma=2, kappa=-3: the Podolsky s-wave index is imaginary, which both
-    # modes report by name instead of a bare math domain error
-    for mode in ("jensen-koppe", "podolsky"):
-        code, _, err = run(capsys, "verify", "--suite", "spectrum",
-                           "--sigma", "2", "--kappa", "-3", "--mode", mode)
-        assert code == 2
-        assert "imaginary" in err and "m=0" in err
-        assert "math domain error" not in err
+    # sigma=2, kappa=-3: the Podolsky s-wave index is imaginary, which
+    # Podolsky mode reports by name instead of a bare math domain error
+    # (Jensen-Koppe mode gives verdicts there, tested below)
+    code, _, err = run(capsys, "verify", "--suite", "spectrum",
+                       "--sigma", "2", "--kappa", "-3", "--mode", "podolsky")
+    assert code == 2
+    assert "imaginary" in err and "m=0" in err
+    assert "math domain error" not in err
+
+
+@pytest.mark.parametrize("sigma, kappa", [
+    ("1.2", "-0.39"), ("1.2", "-0.2"), ("2", "-3")])
+def test_verify_spectrum_without_a_podolsky_ladder_gives_verdicts(
+        capsys, sigma, kappa):
+    # kappa < 0, inside kappa >= 1 - sigma^2: at m = 0, 4 m^2 + kappa < 0,
+    # so no Podolsky ladder exists, and Jensen-Koppe mode has no gap to
+    # resolve
+    code, out, err = run(capsys, "verify", "--suite", "spectrum",
+                         "--sigma", sigma, f"--kappa={kappa}")
+    assert code == 0 and err == ""
+    records = json.loads(out)["records"]
+    assert len(records) == 12
+    assert all(r["actual"] == "matches" for r in records)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("sigma, kappa, exponent", [
+    ("1.2", "-0.39", "4231.77"), ("2", "-2", "7812.49")])
+def test_verify_transfer_overflowing_short_time_factor_is_a_record(
+        capsys, sigma, kappa, exponent):
+    # e^(-V eps/hbar) past e^709 at the first node: a failing record that
+    # names it, not a NaN ratio and an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--suite", "transfer",
+                             "--sigma", sigma, f"--kappa={kappa}")
+    assert code == 1 and err == ""
+    report = _strict_json(out)
+    [record] = report["records"]
+    assert report["pass"] is False and record["pass"] is False
+    for name in ("grid node 0, r = 0.001", f"exponent is {exponent}",
+                 f"sigma = {float(sigma)!r}", f"kappa = {float(kappa)!r}"):
+        assert name in record["actual"], record
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -844,8 +885,8 @@ def test_verify_recombination_identity_in_oscillator_units(capsys):
     (("--sigma", "1", "--kappa", "0"), 0),
     # thresholds above the Jensen-Koppe / Podolsky gap still call "matches"
     (("--mode", "podolsky", "--sigma", "0.999"), 1),
-    # ImaginaryIndexError from podolsky_index, before any solve
-    (("--sigma", "2", "--kappa", "-3"), 2),
+    # no Podolsky ladder at m = 0: no gap for the verdicts to resolve
+    (("--sigma", "2", "--kappa", "-3"), 0),
     # ImaginaryIndexError from the matrix build, before any solve
     (("--sigma", "2", "--kappa", "-3", "--mode", "podolsky"), 2),
 ])

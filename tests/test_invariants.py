@@ -15,7 +15,9 @@
 
 Every import statement counts, at module level or inside a function.  The
 run-time half of (a) runs the closed-form subcommands in a fresh interpreter
-and finds no scipy module loaded.
+and finds no scipy module loaded, then verify's spectrum suite, which loads
+none either, and every suite of verify, which loads scipy.special and no
+scipy.linalg module.
 """
 
 import ast
@@ -230,7 +232,7 @@ def test_the_bracket_check_follows_calls_to_a_planted_energy():
 
 # Loaded scipy modules after `import coneqm` and after each subcommand, run
 # one after the other through cli.main in one fresh interpreter; verify's
-# spectrum suite runs last.
+# spectrum suite runs next to last, and every suite of verify last.
 _RUN_COMMANDS = """
 import json, os, sys
 loaded = lambda: sorted(m for m in sys.modules
@@ -241,8 +243,9 @@ found = {"import coneqm": loaded()}
 for argv in (["convert", "--sigma", "0.5"], ["spectrum", "--e-max", "10"],
              ["wavefunction", "--n", "1", "--m", "0"],
              ["kernel", "--r1", "1", "--r2", "1.2", "--beta", "0.8"],
-             ["verify", "--suite", "spectrum"]):
-    found[argv[0]] = [main(argv + ["--output", os.devnull]), loaded()]
+             ["verify", "--suite", "spectrum"], ["verify"]):
+    found[" ".join(argv[:3])] = [main(argv + ["--output", os.devnull]),
+                                 loaded()]
 print(json.dumps(found))
 """
 
@@ -255,8 +258,12 @@ def test_closed_form_subcommands_load_no_scipy():
     assert done.returncode == 0, done.stderr
     found = json.loads(done.stdout)
     assert found.pop("import coneqm") == []
+    # the spectrum oracle takes dstebz from numpy's OpenBLAS: no scipy
+    assert found.pop("verify --suite spectrum") == [0, []]
+    # every suite: scipy.special for AMOS, and no scipy.linalg module
     code, verify_loaded = found.pop("verify")
     assert found == {name: [0, []] for name in
-                     ("convert", "spectrum", "wavefunction", "kernel")}
-    # the spectrum oracle loads scipy's LAPACK at its first solve
-    assert code == 0 and "scipy.linalg.cython_lapack" in verify_loaded
+                     ("convert --sigma 0.5", "spectrum --e-max 10",
+                      "wavefunction --n 1", "kernel --r1 1")}
+    assert code == 0 and "scipy.special" in verify_loaded
+    assert [m for m in verify_loaded if m.startswith("scipy.linalg")] == []

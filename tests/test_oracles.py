@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -204,9 +205,10 @@ def test_eigen_lowest_reports_lapack_failure(monkeypatch, info, found):
     calls = []
 
     def fake(range_, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w,
-             iblock, isplit, work, iwork, info_out):
+             iblock, isplit, work, iwork, info_out, range_len, order_len):
         # an exception here would be swallowed by ctypes: record, check later
-        calls.append((range_, order, n[0], il[0], iu[0], abstol[0]))
+        calls.append((range_, order, n[0], il[0], iu[0], abstol[0],
+                      range_len, order_len))
         m[0] = found
         info_out[0] = info
 
@@ -214,7 +216,8 @@ def test_eigen_lowest_reports_lapack_failure(monkeypatch, info, found):
     with pytest.raises(LinAlgError, match=f"found {found} of the 2 lowest.*"
                        rf"info={info}\)"):
         eigen_lowest(_tridiagonal(np.full(6, 2.0), np.full(5, -1.0)), 2)
-    assert calls == [(b"I", b"E", 6, 1, 2, 0.0)]
+    # 64-bit integers, then the hidden lengths of RANGE and ORDER
+    assert calls == [(b"I", b"E", 6, 1, 2, 0.0, 1, 1)]
 
 
 def test_dstebz_signature_is_checked_on_load():
@@ -224,10 +227,10 @@ def test_dstebz_signature_is_checked_on_load():
     wrong = cython_lapack.__pyx_capi__["dsterf"]    # (int *, d *, d *, int *)
     with pytest.raises(ImportError, match=r"exports dstebz as 'void \(int \*"):
         oracles._load_lapack({"dstebz": wrong}, "dstebz",
-                             oracles._DSTEBZ_PROTOTYPE)
+                             oracles._CAPSULE_PROTOTYPE)
     right = oracles._load_lapack(cython_lapack.__pyx_capi__, "dstebz",
-                                 oracles._DSTEBZ_PROTOTYPE)
-    assert isinstance(right, oracles._DSTEBZ_PROTOTYPE)
+                                 oracles._CAPSULE_PROTOTYPE)
+    assert isinstance(right, oracles._CAPSULE_PROTOTYPE)
 
 
 def test_dlaebz_signature_is_checked_on_load():
@@ -238,8 +241,38 @@ def test_dlaebz_signature_is_checked_on_load():
     wrong = cython_lapack.__pyx_capi__["dlaebz"]
     with pytest.raises(ImportError, match=r"exports dstebz as 'void \(int \*"):
         oracles._load_lapack({"dstebz": wrong}, "dstebz",
-                             oracles._DSTEBZ_PROTOTYPE)
+                             oracles._CAPSULE_PROTOTYPE)
 
+
+
+def test_capsule_fallback_gives_the_same_bits(monkeypatch, tmp_path):
+    # numpy's OpenBLAS exports dstebz here.  A lookup in a directory with no
+    # OpenBLAS finds none, which leaves dstebz to scipy.linalg.cython_lapack's
+    # capsule (int integers, no hidden lengths): the same reference-LAPACK
+    # Fortran, so the same bits, from scratch and in a staged report
+    spellings = ("scipy_dstebz_64_", "dstebz_64_")
+    assert oracles._NUMPY_DSTEBZ is not None
+    assert oracles._exported(oracles._OPENBLAS, oracles._DSTEBZ_PROTOTYPE,
+                             ("no_such_routine_",) + spellings) is not None
+    mdl = model(sigma=0.7, kappa=1.0)
+    grid = RadialGrid(1e-3, 12.0, 800)
+    mode = CurvatureTermMode.JENSEN_KOPPE
+    mat = radial_hamiltonian_matrix(mdl, 1, mode, grid)
+
+    def solve():
+        reports = spectrum_match_report(mdl, (0, 1, 2), mode, grid, 6)
+        return (eigen_lowest(mat, 6).tobytes(),
+                [(lv.numeric.hex(), lv.est_error.hex())
+                 for report in reports for lv in report.levels])
+
+    primary = solve()
+    none = oracles._exported(oracles._numpy_openblas(str(tmp_path)),
+                             oracles._DSTEBZ_PROTOTYPE, spellings)
+    assert none is None
+    monkeypatch.setattr(oracles, "_NUMPY_DSTEBZ", none)
+    monkeypatch.setattr(oracles, "_capsule_dstebz", None)
+    assert solve() == primary
+    assert isinstance(oracles._capsule_dstebz, oracles._CAPSULE_PROTOTYPE)
 
 # A fresh interpreter whose first solve is a report over several orders, so
 # that pool threads race to the first dstebz call.  Prints, as JSON, the
@@ -966,6 +999,21 @@ def test_mode_gap_resolved_across_parameter_grid():
                         2 * lv.n + 1 + nu_p, abs=2e-3)
 
 
+def test_jensen_koppe_report_without_a_podolsky_ladder():
+    # sigma = 1.2, kappa = -0.39, inside kappa >= 1 - sigma^2: 4 m^2 + kappa
+    # < 0 at m = 0, so no Podolsky ladder exists and the Jensen-Koppe
+    # verdicts have no gap to resolve; Podolsky mode has no operator there
+    mdl = model(sigma=1.2, kappa=-0.39)
+    grid = RadialGrid(1e-3, 12.0, 1001)
+    s_wave, m1 = spectrum_match_report(
+        mdl, (0, 1), CurvatureTermMode.JENSEN_KOPPE, grid, k=3)
+    assert s_wave.mode_gap == math.inf and s_wave.all_match
+    assert m1.mode_gap == pytest.approx(abs(podolsky_index(mdl, 1)
+                                            - mdl.nu(1)))
+    with pytest.raises(ImaginaryIndexError, match="m=0"):
+        spectrum_match_report(mdl, 0, CurvatureTermMode.PODOLSKY, grid, k=3)
+
+
 def test_anticone_branch_end_to_end():
     # sigma > 1 (negative deficit): the embedding is gone but the algebraic
     # machinery stays valid -- unit norms, closed = spectral kernel, ladder
@@ -1307,6 +1355,23 @@ def test_transfer_errors():
         transfer_matrix_kernel(m, 1, grid, 0.0, 4)
     with pytest.raises(ValueError):
         transfer_matrix_kernel(m, 1, grid, 1.0, 0)
+
+
+@pytest.mark.parametrize("sigma, kappa, exponent", [
+    (1.2, -0.39, "4231.77"), (2.0, -2.0, "7812.49")])
+def test_transfer_overflowing_short_time_factor_is_named(sigma, kappa,
+                                                         exponent):
+    # the attractive kappa < 0 core makes e^(-V eps/hbar) past e^709 at the
+    # first node: refused before np.exp, which would warn and give inf
+    grid = RadialGrid(1e-3, 8.0, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnderflowError) as caught:
+            transfer_matrix_kernel(model(sigma, kappa), 1, grid, 1.0, 8)
+    message = str(caught.value)
+    for name in ("grid node 0, r = 0.001", f"exponent is {exponent}",
+                 f"sigma = {sigma!r}", f"kappa = {kappa!r}"):
+        assert name in message, message
 
 
 def test_transfer_deterministic():
