@@ -291,8 +291,8 @@ def _suite_transfer(model) -> list:
             tm = transfer_matrix_kernel(model, 1, grid, beta, n_slices)
             devs[n_slices] = float(np.max(
                 np.abs(tm.values[np.ix_(peak, peak)] - closed) / closed))
-    except UnderflowError as exc:      # a short-time factor past the doubles
-        return [_record("transfer", "short-time kernel in the double range",
+    except UnderflowError as exc:      # a factor or product past the doubles
+        return [_record("transfer", "transfer matrix in the double range",
                         "finite", str(exc), 0.0, False)]
     ratio = devs[8] / devs[16] if devs[16] > 0.0 else math.inf
     records = [

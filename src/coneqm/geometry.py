@@ -27,7 +27,7 @@ class ImaginaryIndexError(ValueError):
 
 class UnderflowError(ValueError):
     """A divisor of a computation is too small in doubles: it underflows to
-    0, or the quotient overflows; or a square overflows."""
+    0, or the quotient overflows; or a square or a product overflows."""
 
 
 @dataclass(frozen=True)

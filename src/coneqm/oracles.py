@@ -5,7 +5,7 @@ Three oracles, all deliberately independent of the closed-form kernel code:
 * a finite-difference radial eigensolver with a selectable curvature term
   (Jensen-Koppe form -(hbar^2/2M) H^2, or the Podolsky convention of no
   curvature term), used to test which Schroedinger equation matches the
-  path-integral spectrum; its inner boundary imposes the regular
+  path-integral spectrum; its one inner closure imposes the regular
   (Frobenius) behaviour u ~ r^p of the mode's own operator, so the levels
   are those of the problem on [0, inf), not of a walled-off [r_min, inf);
 * a time-sliced transfer-matrix path integral built from the short-time
@@ -71,8 +71,7 @@ from .grids import RadialGrid
 from .spectrum import OscillatorModel, QuantumNumbers, energy, potential
 
 __all__ = [
-    "RadialGrid", "AmosRangeError", "CurvatureTermMode", "InnerBoundary",
-    "TridiagonalMatrix",
+    "RadialGrid", "AmosRangeError", "CurvatureTermMode", "TridiagonalMatrix",
     "LevelComparison", "SpectrumMatchReport", "TransferMatrixResult",
     "radial_hamiltonian_matrix", "eigen_lowest", "podolsky_index",
     "spectrum_match_report", "recombination_ratio", "transfer_matrix_kernel",
@@ -114,13 +113,6 @@ class CurvatureTermMode(Enum):
     PODOLSKY = "podolsky"           # V_c = 0
 
 
-class InnerBoundary(Enum):
-    """Closure of the radial finite-difference operator at r_min."""
-
-    FROBENIUS = "frobenius"   # ghost node u(r_min) = (r_min/r_1)^p u(r_1)
-    DIRICHLET = "dirichlet"   # hard wall u(r_min) = 0
-
-
 @dataclass(frozen=True)
 class TridiagonalMatrix:
     """Real symmetric tridiagonal matrix on the interior grid nodes."""
@@ -143,12 +135,9 @@ def _quarter_plus_c(model: OscillatorModel, m: int,
     # The -1/4 of the centrifugal term cancels the indicial 1/4 exactly, so
     # 1/4 + C is summed without it: on the kappa = 1 - sigma^2 boundary the
     # Jensen-Koppe s-wave then gives exactly 0 (the p = 1/2 double root).
-    try:
-        s2 = model.geom.sigma ** 2
-    except OverflowError:
-        raise UnderflowError(
-            f"sigma^2 overflows at sigma = {model.geom.sigma!r}, so the "
-            "radial operator's 1/sigma^2 terms cannot be formed") from None
+    # sigma ** 2 is finite: the model refuses a sigma whose sigma * sigma
+    # overflows, and the two overflow from the same ulp
+    s2 = model.geom.sigma ** 2
     if s2 == 0.0:
         raise UnderflowError(
             f"sigma^2 underflows to 0 at sigma = {model.geom.sigma!r}, so "
@@ -179,9 +168,8 @@ def _regular_exponent(disc: float, m: int, mode: CurvatureTermMode) -> float:
 
 
 def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
-                              mode: CurvatureTermMode, grid: RadialGrid,
-                              boundary: InnerBoundary = InnerBoundary.FROBENIUS,
-                              ) -> TridiagonalMatrix:
+                              mode: CurvatureTermMode,
+                              grid: RadialGrid) -> TridiagonalMatrix:
     """Central-difference discretization of the radial operator.
 
     After the substitution u(r) = sqrt(r) psi(r), the m-channel operator is
@@ -197,26 +185,19 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
     so the solution regular at the apex behaves as u ~ r^p with
     p = 1/2 + sqrt(1/4 + C).
 
-    The inner boundary at r_min is chosen by ``boundary``:
-
-    * FROBENIUS (default) imposes that regular behaviour on the ghost node,
-      u(r_0) = (r_0/r_1)^p u(r_1), which only changes the first diagonal
-      entry by -(hbar^2/2M h^2)(r_0/r_1)^p; the matrix stays symmetric
-      tridiagonal.  This models the problem on [0, inf) rather than on
-      [r_min, inf), so no wall shift ~ r_min^{2p-1} enters the levels.
-      In Jensen-Koppe mode p = nu(m, sigma) + 1/2 by algebra, but p is
-      computed from the operator's own coefficients, never from the closed
-      form, keeping the oracle independent of it.  At the marginal double
-      root (C = -1/4, p = 1/2) the regular solution is r^{1/2}, without
-      the logarithmic partner.  ImaginaryIndexError is raised when
-      1/4 + C < 0.
-    * DIRICHLET puts a hard wall u(r_min) = 0 at r_min.
+    The inner boundary at r_min imposes that regular (Frobenius) behaviour
+    on the ghost node, u(r_0) = (r_0/r_1)^p u(r_1), which only changes the
+    first diagonal entry by -(hbar^2/2M h^2)(r_0/r_1)^p; the matrix stays
+    symmetric tridiagonal.  This models the problem on [0, inf) rather than
+    on [r_min, inf), so no wall shift ~ r_min^{2p-1} enters the levels.  In
+    Jensen-Koppe mode p = nu(m, sigma) + 1/2 by algebra, but p is computed
+    from the operator's own coefficients, never from the closed form,
+    keeping the oracle independent of it.  At the marginal double root
+    (C = -1/4, p = 1/2) the regular solution is r^{1/2}, without the
+    logarithmic partner.  ImaginaryIndexError is raised when 1/4 + C < 0.
     """
     if not isinstance(mode, CurvatureTermMode):
         raise ValueError(f"mode must be a CurvatureTermMode, got {mode!r}")
-    if not isinstance(boundary, InnerBoundary):
-        raise ValueError(
-            f"boundary must be an InnerBoundary, got {boundary!r}")
     h = grid.spacing
     r = grid.values[1:-1]
     M = model.consts.mass
@@ -232,9 +213,8 @@ def radial_hamiltonian_matrix(model: OscillatorModel, m: int,
     diag = (2.0 * kin / (h * h)
             + kin * (disc - 0.25) / (r * r)
             + 0.5 * M * wr * wr)
-    if boundary is InnerBoundary.FROBENIUS:
-        p = _regular_exponent(disc, m, mode)
-        diag[0] -= (kin / (h * h)) * (grid.r_min / r[0]) ** p
+    p = _regular_exponent(disc, m, mode)
+    diag[0] -= (kin / (h * h)) * (grid.r_min / r[0]) ** p
     off = np.full(len(r) - 1, -kin / (h * h))
     return TridiagonalMatrix(diagonal=diag, offdiagonal=off)
 
@@ -633,7 +613,7 @@ def spectrum_match_report(model: OscillatorModel, m: int | Sequence[int],
     sequence of orders, which gives a list of reports in the same order.
 
     Eigenvalues are Richardson-extrapolated in the grid spacing (second
-    order), with the default (Frobenius) inner boundary of
+    order), with the Frobenius inner closure of
     radial_hamiltonian_matrix.  The per-level numerical-error estimate
     combines the residual h^2 estimate with the residual sensitivity to the
     inner boundary: the levels are re-solved with r_min halved and the change
@@ -842,12 +822,18 @@ def _short_time_matrix(model: OscillatorModel, m: int, r: np.ndarray,
     return kern
 
 
+# a @ b with no overflow warning: the inf or NaN an overflow leaves is named
+# by transfer_matrix_kernel's one finiteness check.  numpy's error state is
+# per thread, so the pool's products set their own.
+_quiet_matmul = np.errstate(over="ignore", invalid="ignore")(np.matmul)
+
+
 def _pooled_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a @ b in _WORKERS blocks of rows, one matmul each on the pool; a
     # row's bits do not depend on the block it falls in
     out = np.empty((len(a), b.shape[1]))
     edges = [len(a) * i // _WORKERS for i in range(_WORKERS + 1)]
-    blocks = [_SOLVES.submit(np.matmul, a[lo:hi], b, out=out[lo:hi])
+    blocks = [_SOLVES.submit(_quiet_matmul, a[lo:hi], b, out=out[lo:hi])
               for lo, hi in zip(edges, edges[1:])]
     for block in blocks:
         block.result()
@@ -875,7 +861,8 @@ def transfer_matrix_kernel(model: OscillatorModel, m: int, grid: RadialGrid,
     min(1, nu) (measured, not derived: 0.49 at nu = 0.5, 0.67 at 0.71).
     ``resolution_ok`` is False when the short-time kernel width
     sqrt(hbar eps / M) falls under three grid spacings, i.e. the quadrature
-    can no longer resolve a single slice.
+    can no longer resolve a single slice.  UnderflowError names a
+    short-time factor e^(-V eps/hbar) or a product that leaves the doubles.
     """
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 0.0:
@@ -889,14 +876,19 @@ def transfer_matrix_kernel(model: OscillatorModel, m: int, grid: RadialGrid,
     doubled = _short_time_matrix(model, m, r, eps)    # K_{2^k}
     out = None
     bits = n_slices
-    while True:
-        if bits & 1:
-            out = doubled if out is None else _pooled_product(out,
-                                                              w * doubled)
-        bits >>= 1
-        if not bits:
-            break
-        doubled = _pooled_product(doubled, w * doubled)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        while True:
+            if bits & 1:
+                out = doubled if out is None else _pooled_product(
+                    out, w * doubled)
+            bits >>= 1
+            if not bits:
+                break
+            doubled = _pooled_product(doubled, w * doubled)
+    if not np.isfinite(out).all():
+        raise UnderflowError(
+            f"the transfer matrix of {n_slices} slices overflows at sigma = "
+            f"{model.geom.sigma!r}, kappa = {model.kappa!r}, eps = {eps!r}")
     return TransferMatrixResult(
         values=out, grid=grid, n_slices=n_slices, eps=eps,
         thermal_width=width, resolution_ok=width >= 3.0 * grid.spacing,

@@ -12,7 +12,8 @@ closed-form normalization constants give unit norm.
 import math
 from dataclasses import dataclass
 
-from .geometry import ConeGeometry, PhysicalConstants, coupled_index_nu
+from .geometry import (ConeGeometry, PhysicalConstants, UnderflowError,
+                       coupled_index_nu)
 from .specfun import ln_gamma
 # hyp1f1_terminating is unused here; bench/tracing.py wraps it
 from .specfun import hyp1f1_terminating  # noqa: F401
@@ -37,8 +38,14 @@ class OscillatorModel:
         if not isinstance(w, (int, float)) or isinstance(w, bool) \
                 or not math.isfinite(w) or w <= 0.0:
             raise ValueError(f"omega must be a finite real > 0, got {w!r}")
-        # delegates the kappa >= 1 - sigma^2 check
-        coupled_index_nu(self.geom, self.kappa, 0)
+        # delegates the kappa >= 1 - sigma^2 check, which a NaN kappa passes
+        if not math.isfinite(coupled_index_nu(self.geom, self.kappa, 0)):
+            s, k = self.geom.sigma, self.kappa
+            if not math.isfinite(k):
+                raise ValueError(f"kappa must be a finite real, got {k!r}")
+            raise UnderflowError(
+                f"sigma^2 overflows at sigma = {s!r}" if math.isinf(s * s) else
+                f"nu(0, sigma) overflows at sigma = {s!r}, kappa = {k!r}")
 
     @property
     def marginal(self) -> bool:

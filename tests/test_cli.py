@@ -23,6 +23,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _strict_json(text):
+    # every JSON the CLI prints is strict: NaN or Infinity fails the test
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 # ----------------------------------------------------------------- convert
 
 
@@ -126,7 +133,7 @@ def test_spectrum_malformed_flag_exit_2(capsys):
 def test_spectrum_json_format(capsys):
     code, out, _ = run(capsys, "spectrum", "--e-max", "2", "--format", "json")
     assert code == 0
-    data = json.loads(out)
+    data = _strict_json(out)
     assert data[0]["n"] == 0 and data[0]["m"] == 0
     assert data[0]["energy"] == pytest.approx(1.5)
 
@@ -282,7 +289,7 @@ def test_kernel_flat_matches_mehler(capsys):
                        "--r1", "1", "--r2", "1", "--beta", "1",
                        "--dtheta", "0", "--m-max", "60", "--format", "json")
     assert code == 0
-    rec = json.loads(out)[0]
+    rec = _strict_json(out)[0]
     sh, ch = math.sinh(1.0), math.cosh(1.0)
     mehler = math.exp(-(ch - 1.0) / sh) / (2.0 * math.pi * sh)
     assert rec["value"] == pytest.approx(mehler, rel=1e-8)
@@ -295,7 +302,7 @@ def test_kernel_dtheta_ordering(capsys):
     _, outpi, _ = run(capsys, "kernel", "--r1", "1", "--r2", "1",
                       "--beta", "1", "--dtheta", str(math.pi),
                       "--format", "json")
-    assert json.loads(out0)[0]["value"] >= json.loads(outpi)[0]["value"]
+    assert _strict_json(out0)[0]["value"] >= _strict_json(outpi)[0]["value"]
 
 
 def test_kernel_non_finite_dtheta_exit_2(capsys):
@@ -317,7 +324,7 @@ def test_kernel_m_max_zero_is_isotropic_term(capsys):
     m = OscillatorModel(geom=ConeGeometry(0.5), consts=PhysicalConstants(),
                         omega=1.0, kappa=1.0)
     expect = radial_kernel_closed(m, 0, 0.9, 1.1, 0.7) / (2.0 * math.pi)
-    assert json.loads(out)[0]["value"] == pytest.approx(expect, rel=1e-14)
+    assert _strict_json(out)[0]["value"] == pytest.approx(expect, rel=1e-14)
 
 
 def test_kernel_tail_tolerance_exit_3(capsys):
@@ -352,7 +359,7 @@ def test_kernel_tail_bound_finite(capsys, argv, tail_at_most):
     code, out, err = run(capsys, "kernel", *argv, "--format", "json")
     assert code == 0
     assert err == ""
-    rec = json.loads(out)[0]
+    rec = _strict_json(out)[0]
     assert math.isfinite(rec["value"])
     assert math.isfinite(rec["tail_bound"])
     assert rec["tail_bound"] <= tail_at_most
@@ -376,7 +383,7 @@ def test_kernel_tail_at_huge_z_covers_the_true_tail(capsys, sigma,
                          "--r2", "1", "--beta", "1e-200", "--format", "json")
     assert (code, err) == (0, "")
     pref = 1.0 / math.sinh(1e-200)
-    assert json.loads(out)[0]["tail_bound"] \
+    assert _strict_json(out)[0]["tail_bound"] \
         >= true_tail_at_least * (1.0 - 1e-12) * pref / math.pi
 
 
@@ -386,7 +393,7 @@ def test_kernel_at_the_largest_bessel_argument(capsys):
     code, out, err = run(capsys, "kernel", "--r1", "1", "--r2", "1",
                          "--beta", "1e-308", "--format", "json")
     assert (code, err) == (0, "")
-    got = json.loads(out)[0]
+    got = _strict_json(out)[0]
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         beta = mpmath.mpf(1e-308)
@@ -428,7 +435,7 @@ def test_kernel_where_sinh_overflows_exit_0(capsys, beta):
                          "--beta", beta, "--sigma", "1", "--kappa", "0",
                          "--format", "json")
     assert (code, err) == (0, "")
-    got = json.loads(out)[0]
+    got = _strict_json(out)[0]
     with mpmath.workdps(40):
         b = mpmath.mpf(beta)
         want = float(mpmath.exp(-b - mpmath.mpf(1.625)) / mpmath.pi)
@@ -477,7 +484,7 @@ def test_kernel_huge_m_max_stops_at_certified_term(capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 0
     _, ref, _ = run(capsys, *base, "--m-max", "40")
-    assert json.loads(out)[0]["value"] == json.loads(ref)[0]["value"]
+    assert _strict_json(out)[0]["value"] == _strict_json(ref)[0]["value"]
 
 
 def test_kernel_blocked_equals_scalar_above_30_exit_0(capsys, monkeypatch):
@@ -519,7 +526,7 @@ def test_verify_semigroup_verdict_is_independent_of_units(capsys):
     # the defect is reported in units of the kernel scale M omega / hbar
     def records(*flags):
         code, out, _ = run(capsys, "verify", "--suite", "semigroup", *flags)
-        recs = json.loads(out)["records"]
+        recs = _strict_json(out)["records"]
         assert code == (0 if all(r["pass"] for r in recs) else 1)
         return recs
     natural = records()
@@ -538,7 +545,7 @@ def test_verify_verdicts_are_independent_of_units(capsys):
     # a change of units moves no verdict and no case string
     def records(*flags):
         code, out, _ = run(capsys, "verify", *flags)
-        recs = json.loads(out)["records"]
+        recs = _strict_json(out)["records"]
         assert code == (0 if all(r["pass"] for r in recs) else 1)
         return [(r["suite"], r["case"], r["pass"]) for r in recs]
     natural = records()
@@ -630,7 +637,7 @@ def test_outputs_are_byte_identical_across_runs(capsys):
 
 
 def suites_of(out):
-    return {rec["suite"] for rec in json.loads(out)["records"]}
+    return {rec["suite"] for rec in _strict_json(out)["records"]}
 
 
 def test_parser_reuse_keeps_calls_apart(capsys):
@@ -702,7 +709,7 @@ def test_verify_fast_suites_pass(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "recombination",
                        "--suite", "normalization", "--suite", "semigroup")
     assert code == 0
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["pass"] is True
     assert all(r["pass"] for r in report["records"])
     assert all({"suite", "case", "expected", "actual", "tolerance", "pass"}
@@ -712,7 +719,7 @@ def test_verify_fast_suites_pass(capsys):
 def test_verify_transfer_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "transfer")
     assert code == 0
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["pass"] is True
     cases = [r["case"] for r in report["records"]]
     assert any("first-order" in c for c in cases)
@@ -738,7 +745,7 @@ def test_verify_spectrum_podolsky_excludes_and_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "spectrum",
                        "--mode", "podolsky")
     assert code == 0
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["pass"] is True
     assert all(r["actual"] == "excludes" for r in report["records"])
 
@@ -764,15 +771,9 @@ def test_verify_spectrum_without_a_podolsky_ladder_gives_verdicts(
     code, out, err = run(capsys, "verify", "--suite", "spectrum",
                          "--sigma", sigma, f"--kappa={kappa}")
     assert code == 0 and err == ""
-    records = json.loads(out)["records"]
+    records = _strict_json(out)["records"]
     assert len(records) == 12
     assert all(r["actual"] == "matches" for r in records)
-
-
-def _strict_json(text):
-    def refuse(constant):
-        raise ValueError(f"{constant} is not strict JSON")
-    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("sigma, kappa, exponent", [
@@ -792,6 +793,46 @@ def test_verify_transfer_overflowing_short_time_factor_is_a_record(
     for name in ("grid node 0, r = 0.001", f"exponent is {exponent}",
                  f"sigma = {float(sigma)!r}", f"kappa = {float(kappa)!r}"):
         assert name in record["actual"], record
+
+
+@pytest.mark.parametrize("sigma, kappa", [
+    ("1.87", "-0.064"), ("1.172", "-0.058"), ("1.736", "-0.099"),
+    ("1.799", "-0.142")])
+def test_verify_transfer_overflowing_products_are_a_record(capsys, sigma,
+                                                           kappa):
+    # e^(-V eps/hbar) stays below e^709, but the doubling products overflow:
+    # a failing record that names the transfer matrix, not a NaN ratio and
+    # an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--suite", "transfer",
+                             "--sigma", sigma, f"--kappa={kappa}")
+    assert code == 1 and err == ""
+    report = _strict_json(out)
+    [record] = report["records"]
+    assert report["pass"] is False and record["pass"] is False
+    assert record["case"] == "transfer matrix in the double range"
+    for name in ("transfer matrix of 8 slices overflows",
+                 f"sigma = {float(sigma)!r}", f"kappa = {float(kappa)!r}"):
+        assert name in record["actual"], record
+
+
+@pytest.mark.parametrize("command", [
+    ("spectrum", "--e-max", "5"), ("wavefunction", "--n", "1", "--m", "0"),
+    ("kernel", "--r1", "1", "--r2", "1.2", "--beta", "0.8"), ("verify",)],
+    ids=lambda command: command[0])
+@pytest.mark.parametrize("flag, message", [
+    ("--sigma=1e155", "sigma^2 overflows at sigma = 1e+155"),
+    ("--sigma=1e300", "sigma^2 overflows at sigma = 1e+300"),
+    ("--kappa=inf", "kappa must be a finite real, got inf"),
+    ("--kappa=nan", "kappa must be a finite real, got nan"),
+], ids=["sigma=1e155", "sigma=1e300", "kappa=inf", "kappa=nan"])
+def test_model_past_the_doubles_exit_2(capsys, command, flag, message):
+    # the model refuses a sigma whose square overflows, and a kappa that is
+    # not finite, in one line, before any subcommand's work: no empty table
+    # with exit 0, and no error from deep inside the closed form
+    code, out, err = run(capsys, *command, flag)
+    assert (code, out, err) == (2, "", f"coneqm: {message}\n")
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -876,7 +917,7 @@ def test_verify_recombination_identity_in_oscillator_units(capsys):
     code, out, err = run(capsys, "verify", "--suite", "recombination",
                          "--hbar", "1e-10")
     assert code == 0, err
-    assert json.loads(out)["records"][0]["actual"] == 1.0
+    assert _strict_json(out)["records"][0]["actual"] == 1.0
 
 
 @pytest.mark.parametrize("flags, code", [
@@ -905,7 +946,7 @@ def test_verify_failing_record_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_suite_semigroup", lambda model: fail_record)
     code, out, _ = run(capsys, "verify", "--suite", "semigroup")
     assert code == 1
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["pass"] is False
     assert report["records"][0]["case"] == "forced failure"
 
@@ -929,8 +970,8 @@ def test_verify_sigma_one_modes_identical(capsys):
                        "--sigma", "1", "--kappa", "1")
     _, out_pod, _ = run(capsys, "verify", "--suite", "spectrum",
                         "--sigma", "1", "--kappa", "1", "--mode", "podolsky")
-    jk = json.loads(out_jk)
-    pod = json.loads(out_pod)
+    jk = _strict_json(out_jk)
+    pod = _strict_json(out_pod)
     assert [r["actual"] for r in jk["records"]] \
         == [r["actual"] for r in pod["records"]]
     assert jk["pass"] and pod["pass"]
@@ -941,7 +982,7 @@ def test_verify_sigma_one_modes_identical(capsys):
 
 def _records(capsys, *argv):
     code, out, _ = run(capsys, "verify", *argv)
-    return code, json.loads(out)["records"]
+    return code, _strict_json(out)["records"]
 
 
 @pytest.mark.parametrize("sigma, kappa", [("1", "0"), ("0.45", "0.7975")])

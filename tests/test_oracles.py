@@ -2,12 +2,14 @@
 recombination, transfer matrix.
 
 Several tests here double as the quantitative analysis behind the strict
-acceptance checks.  The eigensolver tests that name InnerBoundary.DIRICHLET
+acceptance checks.  The eigensolver tests that use hard_wall_matrix, a
+hard-wall (u(r_min) = 0) discretization built here from the stencil alone,
 pin down the r_min wall shift of the nu = 1/2 eigenvalues under a hard wall,
-the error that the default regular (Frobenius) inner boundary removes; the
+the error that the oracle's regular (Frobenius) inner closure removes; the
 Frobenius tests show the levels then reproduce the analytic ladder.  The
-transfer-matrix tests measure the first-order convergence constant of the
-time-sliced kernel.
+transfer-matrix tests measure the convergence of the time-sliced kernel,
+whose local order in beta/N is near min(1, nu), and its constant N * dev
+where that order is 1.
 """
 
 import json
@@ -26,10 +28,10 @@ from coneqm.geometry import (ConeGeometry, ImaginaryIndexError,
                              PhysicalConstants, UnderflowError,
                              effective_potential)
 from coneqm.grids import RadialGrid
-from coneqm.oracles import (CurvatureTermMode, InnerBoundary, eigen_lowest,
-                            podolsky_index, radial_hamiltonian_matrix,
-                            recombination_ratio, spectrum_match_report,
-                            transfer_matrix_kernel)
+from coneqm.oracles import (CurvatureTermMode, TridiagonalMatrix,
+                            eigen_lowest, podolsky_index,
+                            radial_hamiltonian_matrix, recombination_ratio,
+                            spectrum_match_report, transfer_matrix_kernel)
 from coneqm.propagator import radial_kernel_closed
 from coneqm.spectrum import OscillatorModel, QuantumNumbers, energy
 
@@ -61,17 +63,51 @@ def test_radial_grid_contract():
 # ------------------------------------------------------ Hamiltonian matrix
 
 
+def hard_wall_matrix(mdl, m, mode, grid):
+    """The radial operator on grid's interior nodes with a hard wall
+    u(r_min) = 0, from the stencil alone: 2 kin/h^2 + kin C/r^2 + V on the
+    diagonal and -kin/h^2 off it, kin = hbar^2/2M, with the mode's
+    inverse-square coefficient C = m^2/sigma^2 - 1/4 + kappa/(4 sigma^2)
+    [- (1 - sigma^2)/(4 sigma^2) in Jensen-Koppe mode]."""
+    s2 = mdl.geom.sigma ** 2
+    c = m * m / s2 - 0.25 + mdl.kappa / (4.0 * s2)
+    if mode is CurvatureTermMode.JENSEN_KOPPE:
+        c -= (1.0 - s2) / (4.0 * s2)
+    mass = mdl.consts.mass
+    kin = mdl.consts.hbar ** 2 / (2.0 * mass)
+    h = grid.spacing
+    r = grid.values[1:-1]
+    diag = 2.0 * kin / h ** 2 + kin * c / r ** 2 \
+        + 0.5 * mass * mdl.omega ** 2 * r ** 2
+    return TridiagonalMatrix(diagonal=diag,
+                             offdiagonal=np.full(len(r) - 1, -kin / h ** 2))
+
+
+def assert_frobenius_closure(mat, wall, grid, p):
+    # every entry but the first is the stencil's; the first adds the ghost
+    # node's -(kin/h^2)(r_0/r_1)^p, where -kin/h^2 is the off-diagonal
+    r0, r1 = grid.values[:2]
+    np.testing.assert_allclose(mat.offdiagonal, wall.offdiagonal, rtol=1e-14)
+    np.testing.assert_allclose(mat.diagonal[1:], wall.diagonal[1:],
+                               rtol=1e-13)
+    ghost = wall.offdiagonal[0] * (r0 / r1) ** p
+    assert mat.diagonal[0] - wall.diagonal[0] == pytest.approx(ghost,
+                                                               rel=1e-12)
+
+
 def test_matrix_structure_flat():
+    # flat kappa = 0, m = 0: C = -1/4, so p = 1/2
     m = model(sigma=1.0, kappa=0.0)
     grid = RadialGrid(0.5, 2.5, 21)
     h = grid.spacing
-    mat = radial_hamiltonian_matrix(m, 0, CurvatureTermMode.JENSEN_KOPPE, grid,
-                                    InnerBoundary.DIRICHLET)
+    mat = radial_hamiltonian_matrix(m, 0, CurvatureTermMode.JENSEN_KOPPE, grid)
     assert mat.dimension == 19
     r = grid.values[1:-1]
     expect_diag = 1.0 / h ** 2 + 0.5 * (-0.25) / r ** 2 + 0.5 * r ** 2
-    assert np.allclose(mat.diagonal, expect_diag, rtol=1e-14)
-    assert np.allclose(mat.offdiagonal, -0.5 / h ** 2, rtol=1e-14)
+    wall = hard_wall_matrix(m, 0, CurvatureTermMode.JENSEN_KOPPE, grid)
+    assert np.allclose(wall.diagonal, expect_diag, rtol=1e-14)
+    assert np.allclose(wall.offdiagonal, -0.5 / h ** 2, rtol=1e-14)
+    assert_frobenius_closure(mat, wall, grid, 0.5)
 
 
 def test_matrix_is_symmetric():
@@ -84,16 +120,22 @@ def test_matrix_is_symmetric():
 
 
 def test_mode_difference_is_effective_potential():
+    # the stencils of the two modes differ by V_eff on every node; the
+    # oracle's do too, but for the first node's closure, whose exponent
+    # p = index + 1/2 differs between the modes
     m = model(sigma=0.5, kappa=1.0)
     grid = RadialGrid(0.2, 6.0, 40)
-    jk = radial_hamiltonian_matrix(m, 2, CurvatureTermMode.JENSEN_KOPPE, grid,
-                                   InnerBoundary.DIRICHLET)
-    pod = radial_hamiltonian_matrix(m, 2, CurvatureTermMode.PODOLSKY, grid,
-                                    InnerBoundary.DIRICHLET)
-    diff = jk.diagonal - pod.diagonal
     expect = [effective_potential(m.geom, m.consts, r)
               for r in grid.values[1:-1]]
-    assert np.allclose(diff, expect, rtol=1e-13)
+    walls = {}
+    for mode, index in ((CurvatureTermMode.JENSEN_KOPPE, m.nu(2)),
+                        (CurvatureTermMode.PODOLSKY, podolsky_index(m, 2))):
+        walls[mode] = hard_wall_matrix(m, 2, mode, grid)
+        assert_frobenius_closure(radial_hamiltonian_matrix(m, 2, mode, grid),
+                                 walls[mode], grid, index + 0.5)
+    jk = walls[CurvatureTermMode.JENSEN_KOPPE]
+    pod = walls[CurvatureTermMode.PODOLSKY]
+    assert np.allclose(jk.diagonal - pod.diagonal, expect, rtol=1e-13)
     assert np.array_equal(jk.offdiagonal, pod.offdiagonal)
 
 
@@ -521,9 +563,8 @@ def test_eigen_flat_oscillator_m0_marginal_wall_shift():
     # cutoff converges only logarithmically, E(a) ~ 1 + 1/ln(1/a) -- the
     # lowest level at a=1e-3 sits near 1.15, NOT within 1e-4 of 1.0
     m = model(sigma=1.0, kappa=0.0)
-    mat = radial_hamiltonian_matrix(m, 0, CurvatureTermMode.JENSEN_KOPPE,
-                                    RadialGrid(1e-3, 12.0, 4000),
-                                    InnerBoundary.DIRICHLET)
+    mat = hard_wall_matrix(m, 0, CurvatureTermMode.JENSEN_KOPPE,
+                           RadialGrid(1e-3, 12.0, 4000))
     e0 = eigen_lowest(mat, 1)[0]
     assert e0 == pytest.approx(1.1505, abs=2e-3)
     shift = e0 - 1.0
@@ -537,9 +578,8 @@ def test_eigen_cone_jk_ground_with_wall_shift():
     # u'(0)^2 = 4/sqrt(pi)
     m = model(sigma=0.5, kappa=1.0)
     a = 1e-3
-    mat = radial_hamiltonian_matrix(m, 0, CurvatureTermMode.JENSEN_KOPPE,
-                                    RadialGrid(a, 12.0, 4000),
-                                    InnerBoundary.DIRICHLET)
+    mat = hard_wall_matrix(m, 0, CurvatureTermMode.JENSEN_KOPPE,
+                           RadialGrid(a, 12.0, 4000))
     e0 = eigen_lowest(mat, 1)[0]
     wall = 0.5 * (4.0 / math.sqrt(math.pi)) * a
     assert e0 == pytest.approx(1.5 + wall, abs=5e-5)
@@ -551,12 +591,12 @@ def test_eigen_converges_to_analytic_as_wall_recedes():
     m = model(sigma=0.5, kappa=1.0)
 
     def level(a):
-        coarse = eigen_lowest(radial_hamiltonian_matrix(
-            m, 0, CurvatureTermMode.JENSEN_KOPPE,
-            RadialGrid(a, 12.0, 3000), InnerBoundary.DIRICHLET), 1)[0]
-        fine = eigen_lowest(radial_hamiltonian_matrix(
-            m, 0, CurvatureTermMode.JENSEN_KOPPE,
-            RadialGrid(a, 12.0, 5999), InnerBoundary.DIRICHLET), 1)[0]
+        coarse = eigen_lowest(hard_wall_matrix(
+            m, 0, CurvatureTermMode.JENSEN_KOPPE, RadialGrid(a, 12.0, 3000)),
+            1)[0]
+        fine = eigen_lowest(hard_wall_matrix(
+            m, 0, CurvatureTermMode.JENSEN_KOPPE, RadialGrid(a, 12.0, 5999)),
+            1)[0]
         return (4.0 * fine - coarse) / 3.0
 
     e1 = level(1e-3)
@@ -576,17 +616,11 @@ def test_frobenius_boundary_changes_only_first_diagonal():
     # mode's own Bessel index (nu in Jensen-Koppe mode, nu_P in Podolsky)
     m = model(sigma=0.5, kappa=1.0)
     grid = RadialGrid(0.2, 6.0, 40)
-    r0, r1 = grid.values[0], grid.values[1]
     for mode, index in ((CurvatureTermMode.JENSEN_KOPPE, m.nu(1)),
                         (CurvatureTermMode.PODOLSKY, podolsky_index(m, 1))):
-        frob = radial_hamiltonian_matrix(m, 1, mode, grid)
-        wall = radial_hamiltonian_matrix(m, 1, mode, grid,
-                                         InnerBoundary.DIRICHLET)
-        expect = -(0.5 / grid.spacing ** 2) * (r0 / r1) ** (index + 0.5)
-        assert frob.diagonal[0] - wall.diagonal[0] == pytest.approx(
-            expect, rel=1e-12)
-        assert np.array_equal(frob.diagonal[1:], wall.diagonal[1:])
-        assert np.array_equal(frob.offdiagonal, wall.offdiagonal)
+        assert_frobenius_closure(radial_hamiltonian_matrix(m, 1, mode, grid),
+                                 hard_wall_matrix(m, 1, mode, grid), grid,
+                                 index + 0.5)
 
 
 def test_frobenius_removes_wall_shift():
@@ -611,9 +645,8 @@ def test_frobenius_marginal_double_root():
         m = model(sigma=sigma, kappa=kappa)
         frob = eigen_lowest(radial_hamiltonian_matrix(
             m, 0, CurvatureTermMode.JENSEN_KOPPE, grid), 2)
-        wall = eigen_lowest(radial_hamiltonian_matrix(
-            m, 0, CurvatureTermMode.JENSEN_KOPPE, grid,
-            InnerBoundary.DIRICHLET), 2)
+        wall = eigen_lowest(hard_wall_matrix(
+            m, 0, CurvatureTermMode.JENSEN_KOPPE, grid), 2)
         assert np.all(np.isfinite(frob))
         assert np.all(np.abs(frob - exact) < np.abs(wall - exact))
 
@@ -627,13 +660,11 @@ def test_frobenius_imaginary_exponent_raises():
     with pytest.raises(ImaginaryIndexError,
                        match=r"m=0, mode=podolsky.*C = -0\.4375"):
         radial_hamiltonian_matrix(m, 0, CurvatureTermMode.PODOLSKY, grid)
-    # the hard wall needs no exponent
-    radial_hamiltonian_matrix(m, 0, CurvatureTermMode.PODOLSKY, grid,
-                              InnerBoundary.DIRICHLET)
     with pytest.raises(ImaginaryIndexError, match="Podolsky index"):
         podolsky_index(m, 0)
-    with pytest.raises(ValueError):
-        radial_hamiltonian_matrix(m, 1, CurvatureTermMode.PODOLSKY, grid,
+    # there is no other closure to fall back on
+    with pytest.raises(TypeError):
+        radial_hamiltonian_matrix(m, 0, CurvatureTermMode.PODOLSKY, grid,
                                   "dirichlet")
 
 
@@ -1370,6 +1401,27 @@ def test_transfer_overflowing_short_time_factor_is_named(sigma, kappa,
             transfer_matrix_kernel(model(sigma, kappa), 1, grid, 1.0, 8)
     message = str(caught.value)
     for name in ("grid node 0, r = 0.001", f"exponent is {exponent}",
+                 f"sigma = {sigma!r}", f"kappa = {kappa!r}"):
+        assert name in message, message
+
+
+# where the short-time factor stays below e^709 but the doubling products
+# overflow
+TRANSFER_PRODUCT_OVERFLOWS = [(1.87, -0.064), (1.172, -0.058),
+                              (1.736, -0.099), (1.799, -0.142)]
+
+
+@pytest.mark.parametrize("sigma, kappa", TRANSFER_PRODUCT_OVERFLOWS)
+def test_transfer_overflowing_products_are_named(sigma, kappa):
+    # the products' inf or NaN is refused by one check on the composed
+    # kernel, with no overflow warning from the pool's matmuls
+    grid = RadialGrid(1e-3, 8.0, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnderflowError) as caught:
+            transfer_matrix_kernel(model(sigma, kappa), 1, grid, 1.0, 8)
+    message = str(caught.value)
+    for name in ("transfer matrix of 8 slices overflows",
                  f"sigma = {sigma!r}", f"kappa = {kappa!r}"):
         assert name in message, message
 

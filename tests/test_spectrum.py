@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coneqm.geometry import ConeGeometry, PhysicalConstants
+from coneqm.geometry import ConeGeometry, PhysicalConstants, UnderflowError
 from coneqm.spectrum import (OscillatorModel, QuantumNumbers, energy,
                              enumerate_states, normalization_log, potential,
                              radial_wavefunction, radial_wavefunctions,
@@ -29,6 +29,33 @@ def test_model_invariants():
         model(omega=0.0)
     assert model(sigma=0.5, kappa=0.75).marginal
     assert not model(sigma=0.5, kappa=1.0).marginal
+
+
+@pytest.mark.parametrize("sigma, kappa, error, names", [
+    # sigma^2 overflows from this ulp on, by * and by ** alike
+    (1.3407807929942597e154, 1.0, UnderflowError,
+     ("sigma^2 overflows", "sigma = 1.3407807929942597e+154")),
+    (1e300, 1.0, UnderflowError, ("sigma^2 overflows", "sigma = 1e+300")),
+    # a NaN kappa passes kappa >= 1 - sigma^2
+    (0.5, math.nan, ValueError, ("kappa must be a finite real", "nan")),
+    (0.5, math.inf, ValueError, ("kappa must be a finite real", "inf")),
+    # kappa + sigma^2 overflows, and 2 sigma is too small a divisor
+    (1e154, 1.7e308, UnderflowError, ("nu(0, sigma) overflows",
+                                      "sigma = 1e+154", "kappa = 1.7e+308")),
+    (1e-310, 2.0, UnderflowError, ("nu(0, sigma) overflows",
+                                   "sigma = 1e-310", "kappa = 2.0")),
+])
+def test_model_refuses_an_index_its_doubles_cannot_carry(sigma, kappa,
+                                                         error, names):
+    with pytest.raises(error) as caught:
+        model(sigma=sigma, kappa=kappa)
+    assert all(name in str(caught.value) for name in names), caught.value
+
+
+def test_model_keeps_the_last_finite_square():
+    s = 1.3407807929942596e154
+    assert math.isfinite(s * s) and math.isfinite(s ** 2)
+    assert model(sigma=s).nu(0) == pytest.approx(0.5)
 
 
 def test_potential_values():
