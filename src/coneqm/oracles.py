@@ -38,18 +38,17 @@ compiles too, so its levels are bit-identical to scipy's.  Only where numpy
 bundles no OpenBLAS that exports it (numpy linked to Accelerate or to a
 system BLAS) does the first call import scipy.linalg.cython_lapack, take
 dstebz from it and check its C signature (ImportError if it differs).  Of
-a spectrum_match_report's four grids per order (coarse and refined, each
-also with r_min halved), the two coarse ones are solved from scratch by
-dstebz, and their eigenvalues are bit-identical to
+a spectrum_match_report's three grids per order (coarse, refined, and a
+coarser one of half the nodes), the coarse and the coarser are solved from
+scratch by dstebz, and their eigenvalues are bit-identical to
 scipy.linalg.eigh_tridiagonal with index selection and
-lapack_driver="stebz", which makes the same LAPACK call.  The two refined
-grids are bisected by dstebz one value range at a time, in brackets around
-levels predicted from the coarse solves alone.  One Sturm count per grid
-certifies that bracket j holds level j; a grid it refuses is solved from
-scratch.  A report for several orders stages the solves of all of them in
-one pass on the pool.  The transfer matrix's Bessel table is filled in
-bands of rows, and each of its products in blocks of rows, on the same
-pool.
+lapack_driver="stebz", which makes the same LAPACK call.  The refined grid
+is bisected by dstebz one value range at a time, in brackets around the
+coarse levels.  One Sturm count certifies that bracket j holds level j; a
+grid it refuses is solved from scratch.  A report for several orders stages
+the solves of all of them in one pass on the pool.  The transfer matrix's
+Bessel table is filled in bands of rows, and each of its products in blocks
+of rows, on the same pool.
 """
 
 import ctypes
@@ -428,8 +427,7 @@ if hasattr(os, "register_at_fork"):      # absent where there is no fork
 
 # A bracket that holds other than one level is widened _WIDEN-fold, at most
 # _WIDENINGS times; then its grid is solved by eigen_lowest.  Three
-# widenings take the halved-r_min brackets from 2^-20 to 2^-8 of the level
-# distance, past the largest share measured below.
+# widenings take a refined bracket from 2^-11 to twice the level distance.
 _WIDEN = 16.0
 _WIDENINGS = 3
 # lower end of the certificate's count: below every level of the oracle's
@@ -536,26 +534,24 @@ class SpectrumMatchReport:
         return all(lv.verdict == "matches" for lv in self.levels)
 
 
-def _richardson(e_coarse: np.ndarray, e_fine: np.ndarray):
-    # second-order extrapolation in the spacing and its residual estimate
-    extrapolated = (4.0 * e_fine - e_coarse) / 3.0
-    disc_est = np.abs(e_fine - e_coarse) / 3.0
-    return extrapolated, disc_est
+def _richardson(e_coarse: np.ndarray, e_fine: np.ndarray, ratio: float):
+    # second-order extrapolation in the spacing, ratio times smaller on the
+    # fine grid, and the residual estimate of the fine level
+    q2 = ratio * ratio
+    return (q2 * e_fine - e_coarse) / (q2 - 1.0), \
+        np.abs(e_fine - e_coarse) / (q2 - 1.0)
 
 
-# Half-widths of the refined grids' brackets, as shares of the distance
+# Half-widths of the refined grid's brackets, as shares of the distance
 # from each coarse level to its nearest neighbour (the level's own magnitude
-# when it is alone).  Measured with eigen_lowest on all four grids: on the
-# ten grids of a 4000-point, k = 20 report at sigma = 0.5, kappa = 1 (m 0-4,
+# when it is alone).  Measured with eigen_lowest on both grids: on the ten
+# grids of a 4000-point, k = 20 report at sigma = 0.5, kappa = 1 (m 0-4,
 # both modes) the refined levels lie within 2^-11.5 of that distance from
-# the coarse ones, and the halved-r_min refined levels within 2^-19.9 of
-# fine + (half_coarse - coarse), one grid of ten beyond 2^-20.  On 480
-# 2001-point, k = 4 grids at sigma in [0.3, 2] and kappa 1 or 2 they reach
-# 2^-9.1 and 2^-12.0, and 19 and 167 of those grids need a widening.  A
+# the coarse ones.  On 480 2001-point, k = 4 grids at sigma in [0.3, 2] and
+# kappa 1 or 2 they reach 2^-9.1, and 19 of those grids need a widening.  A
 # widening costs one more dstebz call and four more bisection steps on the
 # bracket it widens; a wider start would cost every bracket those steps.
 _FINE_SHARE = 2.0 ** -11
-_HALF_FINE_SHARE = 2.0 ** -20
 
 
 def _level_gaps(levels: np.ndarray) -> np.ndarray:
@@ -568,39 +564,29 @@ def _level_gaps(levels: np.ndarray) -> np.ndarray:
 
 def _report_levels(matrices, k: int):
     """k lowest levels of every matrix in matrices, which holds a report's
-    coarse, refined, halved-r_min coarse and halved-r_min refined matrices,
-    in that order, for each report in turn.
+    coarse, refined and coarser matrices, in that order, for each report in
+    turn.
 
     The solves are staged on the pool, and only the calling thread waits on
-    it.  First every coarse grid is solved from scratch by eigen_lowest
-    (looked up in the module at call time).  Each refined grid is then
-    bracketed around its coarse levels as soon as they arrive, and once its
-    levels are in, each halved-r_min refined grid around
-    fine + (half_coarse - coarse).  The brackets come from these solves
-    alone.  An error in any solve is raised here as it is.
+    it.  Every coarse and coarser grid is solved from scratch by
+    eigen_lowest (looked up in the module at call time), and each refined
+    grid is bracketed around its coarse levels as soon as they arrive.  The
+    brackets come from these solves alone.  An error in any solve is raised
+    here as it is.
     """
-    reports = [matrices[i:i + 4] for i in range(0, len(matrices), 4)]
+    reports = [matrices[i:i + 3] for i in range(0, len(matrices), 3)]
     coarse_jobs = [_SOLVES.submit(eigen_lowest, mats[0], k)
                    for mats in reports]
-    half_jobs = [_SOLVES.submit(eigen_lowest, mats[2], k)
-                 for mats in reports]
-    coarse, gaps, fine_jobs = [], [], []
-    for mats, job in zip(reports, coarse_jobs):
-        coarse.append(job.result())
-        gaps.append(_level_gaps(coarse[-1]))
-        fine_jobs.append(_submit_near(mats[1], coarse[-1],
-                                      _FINE_SHARE * gaps[-1]))
+    coarser_jobs = [_SOLVES.submit(eigen_lowest, mats[2], k)
+                    for mats in reports]
     staged = []
-    for mats, c, gap, fine_job, half_job in zip(reports, coarse, gaps,
-                                                 fine_jobs, half_jobs):
-        fine = _collect_near(*fine_job)
-        half_coarse = half_job.result()
-        staged.append((c, fine, half_coarse,
-                       _submit_near(mats[3], fine + (half_coarse - c),
-                                    _HALF_FINE_SHARE * gap)))
+    for mats, job in zip(reports, coarse_jobs):
+        coarse = job.result()
+        staged.append((coarse, _submit_near(
+            mats[1], coarse, _FINE_SHARE * _level_gaps(coarse))))
     levels = []
-    for c, fine, half_coarse, half_fine_job in staged:
-        levels += [c, fine, half_coarse, _collect_near(*half_fine_job)]
+    for (coarse, fine_job), coarser_job in zip(staged, coarser_jobs):
+        levels += [coarse, _collect_near(*fine_job), coarser_job.result()]
     return levels
 
 
@@ -613,41 +599,52 @@ def spectrum_match_report(model: OscillatorModel, m: int | Sequence[int],
     sequence of orders, which gives a list of reports in the same order.
 
     Eigenvalues are Richardson-extrapolated in the grid spacing (second
-    order), with the Frobenius inner closure of
-    radial_hamiltonian_matrix.  The per-level numerical-error estimate
-    combines the residual h^2 estimate with the residual sensitivity to the
-    inner boundary: the levels are re-solved with r_min halved and the change
-    is scaled by 1/(1 - 2^{-2 idx}), the factor a hard wall's r_min^{2 idx}
-    shift would need.  The Frobenius closure has no such wall shift, so this
-    term now measures what the closure leaves over (the dropped higher terms
-    of the regular series and the stencil error on the first nodes), which
-    is largest at the marginal index.  A level "matches" when its deviation
+    order) from the coarse grid and the refined one of half its spacing,
+    with the Frobenius inner closure of radial_hamiltonian_matrix.  Each
+    level's numerical-error estimate is |fine - coarse|/3, the h^2 residual
+    of the refined level, plus |R_low - R|: R is the reported extrapolated
+    level, and R_low the same extrapolation from a coarser grid of
+    (points + 1)//2 nodes on the same interval and the coarse grid, so the
+    second term is what one halving of the spacing moves the extrapolation
+    by; 1e-12 |E| covers rounding.  A level "matches" when its deviation
     from the analytic energy is below 10x that estimate, "excludes" when
     above, and is "inconclusive" when the threshold cannot resolve the
-    Jensen-Koppe / Podolsky gap.
+    Jensen-Koppe / Podolsky gap.  ValueError is raised, before any matrix
+    is built, when the grid has fewer than 31 points or k exceeds the
+    (points + 1)//2 - 2 rows of the coarser grid.
 
-    The four matrices of each order (coarse and refined, each also with
-    r_min halved) are built in the calling thread, all of them before any
-    solve starts, and solved in units of hbar omega, so that the
-    bisection's squares of the off-diagonal stay in the double range at any
-    omega.  The solves of all orders run in one staged pass on the solver
-    pool (_report_levels), so a sequence of orders keeps the pool busy
-    where one report at a time would leave it waiting.  The coarse matrices
-    are solved from scratch by eigen_lowest, and their levels are
-    bit-identical to eigh_tridiagonal's.  The refined matrices are bisected
-    by dstebz only inside brackets around levels those solves predict, and
-    one Sturm count per grid certifies that bracket j holds level j; each
-    level is within dstebz's absolute tolerance of eigen_lowest's value.
-    Every report is the same, bit for bit, whether its order comes alone or
-    in a sequence.  An error in any solve is raised here as it is.
+    The three matrices of each order (coarse, refined and coarser) are
+    built in the calling thread, all of them before any solve starts, and
+    solved in units of hbar omega, so that the bisection's squares of the
+    off-diagonal stay in the double range at any omega.  The solves of all
+    orders run in one staged pass on the solver pool (_report_levels), so a
+    sequence of orders keeps the pool busy where one report at a time would
+    leave it waiting.  The coarse and coarser matrices are solved from
+    scratch by eigen_lowest, and their levels are bit-identical to
+    eigh_tridiagonal's.  The refined matrix is bisected by dstebz only
+    inside brackets around the coarse levels, and one Sturm count certifies
+    that bracket j holds level j; each level is within dstebz's absolute
+    tolerance of eigen_lowest's value.  Every report is the same, bit for
+    bit, whether its order comes alone or in a sequence.  An error in any
+    solve is raised here as it is.
     """
+    if grid.points < 31:
+        raise ValueError(
+            f"points must be >= 31, so that the coarser grid of "
+            f"(points + 1)//2 nodes has the 16 a RadialGrid needs, got "
+            f"{grid.points!r}")
+    coarser = RadialGrid(grid.r_min, grid.r_max, (grid.points + 1) // 2)
+    if not isinstance(k, int) or isinstance(k, bool) \
+            or not 1 <= k <= coarser.points - 2:
+        raise ValueError(
+            f"k must be an integer in [1, {coarser.points - 2}], the rows of "
+            f"the coarser grid of {coarser.points} nodes, got {k!r}")
     many = isinstance(m, Sequence)
     orders = list(m) if many else [m]
     hbar_omega = model.consts.hbar * model.omega
-    half_grid = RadialGrid(0.5 * grid.r_min, grid.r_max, grid.points)
     matrices, indices = [], []
     for order in orders:
-        for g in (grid, grid.refined(), half_grid, half_grid.refined()):
+        for g in (grid, grid.refined(), coarser):
             mat = radial_hamiltonian_matrix(model, order, mode, g)
             matrices.append(TridiagonalMatrix(
                 diagonal=mat.diagonal / hbar_omega,
@@ -663,27 +660,20 @@ def spectrum_match_report(model: OscillatorModel, m: int | Sequence[int],
             nu_p = math.inf
         indices.append((model.nu(order), nu_p))
     solved = [levels * hbar_omega for levels in _report_levels(matrices, k)]
+    low_ratio = (grid.points - 1) / (coarser.points - 1)   # 2 for odd points
 
     reports = []
     for i, (order, (nu, nu_p)) in enumerate(zip(orders, indices)):
-        coarse, fine, half_coarse, half_fine = solved[4 * i:4 * i + 4]
-        e_rich, disc_est = _richardson(coarse, fine)
-        e_rich_half, _ = _richardson(half_coarse, half_fine)
-        idx = nu if mode is CurvatureTermMode.JENSEN_KOPPE else nu_p
-        # E(a) - E(0) ~ a^{2 idx}: infer the full wall error from the
-        # halving step
-        if idx > 0.05:
-            wall_factor = 1.0 / (1.0 - 2.0 ** (-2.0 * idx))
-        else:
-            # marginal index: logarithmic convergence in the cutoff
-            wall_factor = math.log(2.0 / grid.r_min) / math.log(2.0)
-        wall_est = np.abs(e_rich - e_rich_half) * wall_factor
+        coarse, fine, coarsest = solved[3 * i:3 * i + 3]
+        e_rich, disc_est = _richardson(coarse, fine, 2.0)
+        e_low, _ = _richardson(coarsest, coarse, low_ratio)
+        low_est = np.abs(e_low - e_rich)
 
         gap = hbar_omega * abs(nu_p - nu)
         levels = []
         for n in range(k):
             analytic = energy(model, QuantumNumbers(n, order))
-            est = float(disc_est[n] + wall_est[n]) + 1.0e-12 * abs(analytic)
+            est = float(disc_est[n] + low_est[n]) + 1.0e-12 * abs(analytic)
             dev = abs(float(e_rich[n]) - analytic)
             threshold = 10.0 * est
             if dev <= threshold:

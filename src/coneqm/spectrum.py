@@ -130,6 +130,9 @@ def radial_wavefunctions(model: OscillatorModel, m: int, n_max: int,
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"r must be a finite real >= 0, got {r!r}")
     nu = model.nu(m)
+    if not math.isfinite(nu):
+        raise ValueError(f"nu(m, sigma) overflows at m = {m!r}: 4 m^2 leaves "
+                         "the doubles")
     x = model.consts.mass * model.omega / model.consts.hbar * r * r
     # r = 0 gives r^nu = 0 for nu > 0, and for nu = 0 keeps every f_k/f_0 = 1
     ln_rest = _normalization_log(model, 0, nu) \

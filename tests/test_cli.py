@@ -239,6 +239,14 @@ def test_wavefunction_non_finite_bound_names_flag(capsys):
             assert f"{flag} must be a finite real, got {float(bad)!r}" in err
 
 
+def test_wavefunction_m_whose_index_overflows_names_m(capsys):
+    m = 10 ** 160
+    code, out, err = run(capsys, "wavefunction", "--n", "0", "--m", str(m),
+                         "--points", "3")
+    assert code == 2 and out == ""
+    assert f"at m = {m}:" in err and "ln_gamma" not in err
+
+
 @pytest.mark.parametrize("m", ["-2", "0", "3"])
 def test_wavefunction_psi_abs_is_abs_of_psi_radial(capsys, m):
     code, out, _ = run(capsys, "wavefunction", "--n", "2", "--m", m,
@@ -936,6 +944,30 @@ def test_verify_spectrum_exit_codes(capsys, flags, code):
     assert got == code
     assert (code == 2) == (out == "")
     assert (code == 2) == ("imaginary" in err)
+
+
+def test_verify_spectrum_s_wave_threshold_at_sigma_one(capsys):
+    # at sigma = 1, kappa = 0 the s-wave index is the marginal nu = 0; its
+    # threshold, 10x the estimate, stays below half the 2 hbar omega level
+    # spacing (it was 2.41 hbar omega under the hard-wall law)
+    code, out, _ = run(capsys, "verify", "--suite", "spectrum", "--sigma",
+                       "1", "--kappa", "0")
+    assert code == 0
+    s_wave = [r for r in _strict_json(out)["records"]
+              if ",m=0," in r["case"]]
+    assert len(s_wave) == 4
+    assert all(r["tolerance"] < 1.0 for r in s_wave)
+
+
+def test_verify_podolsky_excludes_near_the_marginal_index(capsys):
+    # kappa + sigma^2 - 1 is about 1e-5, so nu(0) is near 0 while the
+    # Podolsky s-wave index is 0.166: its four levels read "excludes"
+    code, out, _ = run(capsys, "verify", "--suite", "spectrum", "--mode",
+                       "podolsky", "--sigma", "0.9492170015297476",
+                       "--kappa", "0.09898708400687506")
+    assert code == 0
+    assert {r["actual"] for r in _strict_json(out)["records"]} == \
+        {"excludes"}
 
 
 def test_verify_failing_record_exits_1(capsys, monkeypatch):

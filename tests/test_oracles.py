@@ -361,11 +361,11 @@ def test_threads_racing_to_the_first_solve_load_dstebz():
 
 
 def _report_matrices(mdl, m, mode, grid):
-    # the four matrices of a spectrum_match_report, in its order and units
+    # the three matrices of a spectrum_match_report, in its order and units
     hbar_omega = mdl.consts.hbar * mdl.omega
-    half = RadialGrid(0.5 * grid.r_min, grid.r_max, grid.points)
+    coarser = RadialGrid(grid.r_min, grid.r_max, (grid.points + 1) // 2)
     out = []
-    for g in (grid, grid.refined(), half, half.refined()):
+    for g in (grid, grid.refined(), coarser):
         mat = radial_hamiltonian_matrix(mdl, m, mode, g)
         out.append(_tridiagonal(mat.diagonal / hbar_omega,
                                 mat.offdiagonal / hbar_omega))
@@ -382,9 +382,9 @@ def _atoli(mat):
 
 
 def test_bracketed_report_levels_match_eigen_lowest(monkeypatch):
-    # the coarse grids bit for bit, the refined ones within dstebz's own
-    # tolerance, over a seeded scan of the oracle's matrices; no grid of the
-    # scan needs the fallback, though many need a widening
+    # the coarse and coarser grids bit for bit, the refined one within
+    # dstebz's own tolerance, over a seeded scan of the oracle's matrices;
+    # no grid of the scan needs the fallback, though some need a widening
     rng = np.random.default_rng(20261019)
     real = oracles.eigen_lowest
     solved = []
@@ -409,7 +409,7 @@ def test_bracketed_report_levels_match_eigen_lowest(monkeypatch):
             continue                 # Podolsky m = 0 with kappa < 0
         solved.clear()
         got = oracles._report_levels(mats, k)
-        assert sorted(solved) == sorted([points - 2] * 2)
+        assert sorted(solved) == [(points + 1) // 2 - 2, points - 2]
         label = (sigma, kappa, m, mode, points, k)
         for i, (mat, levels) in enumerate(zip(mats, got)):
             ref = real(mat, k)
@@ -418,11 +418,11 @@ def test_bracketed_report_levels_match_eigen_lowest(monkeypatch):
             else:
                 assert np.all(np.abs(levels - ref) <= _atoli(mat)), label
         checked += 1
-        brackets += 2 * k
+        brackets += k
     ranges = [call[0] for call in calls]
     # one certificate count per refined grid; some brackets were widened
-    assert sum(1 for call in calls if _is_count(call)) == 2 * checked
-    assert ranges.count(b"V") > brackets + 2 * checked
+    assert sum(1 for call in calls if _is_count(call)) == checked
+    assert ranges.count(b"V") > brackets + checked
 
 
 def _bracket_case():
@@ -752,6 +752,88 @@ def test_spectrum_match_report_scales_with_hbar_omega():
         assert b.est_error / 1e-200 == pytest.approx(a.est_error, rel=1e-3)
 
 
+def _own_ladder(mdl, m, mode):
+    # the exact levels hbar omega (2n + 1 + idx) of the mode's own operator
+    idx = mdl.nu(m) if mode is CurvatureTermMode.JENSEN_KOPPE \
+        else podolsky_index(mdl, m)
+    return lambda n: mdl.consts.hbar * mdl.omega * (2 * n + 1 + idx)
+
+
+def test_estimate_covers_the_error_of_the_reported_level():
+    # on verify's grid, over a seeded scan, every reported level lies
+    # within twice its estimate of its own mode's exact ladder
+    rng = np.random.default_rng(20261021)
+    grid = RadialGrid(1e-3, 12.0, 2001)
+    checked = 0
+    while checked < 30:
+        sigma = float(rng.uniform(0.3, 3.0))
+        mdl = model(sigma, (1.0 - sigma ** 2, 1.0, 2.0)[rng.integers(3)])
+        for mode in CurvatureTermMode:
+            try:
+                reports = spectrum_match_report(mdl, (0, 1, 2), mode, grid, 4)
+            except ImaginaryIndexError:
+                continue             # Podolsky m = 0 with kappa < 0
+            for rep in reports:
+                exact = _own_ladder(mdl, rep.m, mode)
+                for lv in rep.levels:
+                    assert abs(lv.numeric - exact(lv.n)) \
+                        <= 2.0 * lv.est_error, (sigma, mdl.kappa, rep.m,
+                                                mode, lv.n)
+        checked += 1
+
+
+def test_levels_shifted_by_eleven_estimates_are_excluded(monkeypatch):
+    # every grid's levels moved by 11x the level's estimate, away from the
+    # analytic one: the estimate, formed from differences, stays as it was,
+    # and the reported level is 11 estimates further off, so "excludes"
+    grid = RadialGrid(1e-3, 12.0, 2001)
+    mode = CurvatureTermMode.JENSEN_KOPPE
+    real = oracles._report_levels
+    for sigma, kappa in ((0.5, 1.0), (1.5, 2.0)):
+        mdl = model(sigma, kappa)
+        honest = spectrum_match_report(mdl, (0, 1, 2), mode, grid, 4)
+        assert all(rep.all_match for rep in honest)
+        shifts = [np.array([math.copysign(11.0 * lv.est_error,
+                                          lv.numeric - lv.analytic)
+                            for lv in rep.levels]) for rep in honest]
+
+        def shifted(matrices, k):
+            levels = real(matrices, k)
+            return [lv + shifts[i // 3] for i, lv in enumerate(levels)]
+
+        monkeypatch.setattr(oracles, "_report_levels", shifted)
+        moved = spectrum_match_report(mdl, (0, 1, 2), mode, grid, 4)
+        monkeypatch.setattr(oracles, "_report_levels", real)
+        for before, after in zip(honest, moved):
+            for a, b in zip(before.levels, after.levels):
+                assert b.est_error == pytest.approx(a.est_error, rel=1e-6)
+                assert b.verdict == "excludes", (sigma, kappa, before.m, a.n)
+
+
+def test_report_refuses_a_grid_too_small_for_its_coarser_grid(monkeypatch):
+    # the coarser grid has (points + 1)//2 nodes and (points + 1)//2 - 2
+    # rows; a grid or k it cannot take is refused before any matrix is built
+    real, built = oracles.radial_hamiltonian_matrix, []
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "radial_hamiltonian_matrix", spy)
+    mode = CurvatureTermMode.JENSEN_KOPPE
+    for points, k, name in ((16, 1, "points"), (30, 1, "points"),
+                            (31, 15, "k"), (400, 199, "k"), (400, 0, "k"),
+                            (400, 2.0, "k")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            spectrum_match_report(model(), 1, mode,
+                                  RadialGrid(1e-3, 12.0, points), k)
+    assert built == []
+    for points, k in ((31, 14), (32, 14), (400, 198)):
+        rep = spectrum_match_report(model(), 1, mode,
+                                    RadialGrid(1e-3, 12.0, points), k)
+        assert len(rep.levels) == k
+
+
 def _report_bits(rep):
     return [(lv.n, lv.numeric.hex(), lv.est_error.hex(), lv.verdict)
             for lv in rep.levels]
@@ -790,8 +872,9 @@ def test_concurrent_reports_equal_serial_reports():
 
 
 def test_report_solves_run_pooled_through_the_module_function(monkeypatch):
-    # the coarse grids through eigen_lowest, the refined ones through the
-    # bracketed solve in min(k, _WORKERS) parts each, all on pool threads
+    # the coarse and coarser grids through eigen_lowest, the refined one
+    # through the bracketed solve in min(k, _WORKERS) parts, all on pool
+    # threads
     import threading
 
     import coneqm.oracles as oracles
@@ -810,8 +893,8 @@ def test_report_solves_run_pooled_through_the_module_function(monkeypatch):
     monkeypatch.setattr(oracles, "_solve_brackets", bracket_spy)
     spectrum_match_report(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
                           RadialGrid(1e-3, 12.0, 300), 3)
-    assert sorted(dim for dim, _ in seen) == [298, 298]
-    assert sorted(dim for dim, _ in brackets) == [597] * 6
+    assert sorted(dim for dim, _ in seen) == [148, 298]
+    assert sorted(dim for dim, _ in brackets) == [597] * 3
     assert all(name.startswith("coneqm-eigen") for _, name in seen + brackets)
 
 

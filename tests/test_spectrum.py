@@ -316,6 +316,15 @@ def test_wavefunctions_list_and_origin():
         radial_wavefunctions(m, 1, -1, 1.0)
 
 
+def test_wavefunctions_refuse_an_m_whose_index_overflows():
+    # 4 m^2 overflows for a 161-digit m, so nu(m, sigma) is inf: refused
+    # by name, not left to fail inside ln Gamma(nu + 1)
+    m = 10 ** 160
+    assert model().nu(m) == math.inf
+    with pytest.raises(ValueError, match=f"at m = {m}:"):
+        radial_wavefunctions(model(), m, 0, 1.0)
+
+
 @pytest.mark.parametrize("m", [1.0, 0.5, True, "1", None])
 def test_wavefunctions_refuse_non_integer_m(m):
     with pytest.raises(ValueError, match="m must be an integer"):
