@@ -166,50 +166,47 @@ def effective_potential(geom: ConeGeometry, consts: PhysicalConstants,
     return -(hbar2 / (2.0 * consts.mass)) * (1.0 - s * s) / divisor
 
 
-def effective_index_mu(geom: ConeGeometry, m: int) -> float:
-    """Free-cone Bessel order mu(m) = sqrt(4 m^2 + sigma^2 - 1) / (2 sigma).
-
-    Raises ImaginaryIndexError when 4 m^2 + sigma^2 - 1 < 0 (the
-    unregularized s-wave on a sigma < 1 cone).
-    """
-    s = geom.sigma
-    disc = 4.0 * m * m + s * s - 1.0
-    if disc < 0.0:
-        raise ImaginaryIndexError(
-            f"4m^2 + sigma^2 - 1 = {disc:g} < 0 for m={m}, sigma={s:g}: "
-            "the free-cone s-wave index is imaginary; a repulsive core "
-            "(kappa >= 1 - sigma^2) is required"
-        )
-    return math.sqrt(disc) / (2.0 * s)
+def _bessel_order(c: float, sigma: float, m):
+    """sqrt(4 m^2 + c) / (2 sigma) for an int m, on Python floats, or for an
+    integer array of m; both round correctly, so they agree bit for bit."""
+    sqrt = math.sqrt if type(m) is int else np.sqrt
+    return sqrt(4.0 * m * m + c) / (2.0 * sigma)
 
 
-def coupled_index_nu(geom: ConeGeometry, kappa: float, m: int) -> float:
-    """Bessel order nu(m, sigma) = sqrt(4 m^2 + kappa + sigma^2 - 1) / (2 sigma)
-    of the cone with inverse-square coupling kappa.
-
-    Requires kappa >= 1 - sigma^2 so that the order (and hence the spectrum)
-    is real for every m.
-    """
+def _coupled_c(geom: ConeGeometry, kappa: float) -> float:
+    """c = kappa + sigma^2 - 1 of nu(m, sigma), once kappa >= 1 - sigma^2 is
+    checked (a NaN kappa passes the check)."""
     s = geom.sigma
     kappa = float(kappa)
     bound = 1.0 - s * s
     if kappa < bound:
         raise ValueError(
-            f"kappa must be >= 1 - sigma^2 = {bound!r}, got {kappa!r}"
-        )
-    return math.sqrt(4.0 * m * m + kappa + s * s - 1.0) / (2.0 * s)
+            f"kappa must be >= 1 - sigma^2 = {bound!r}, got {kappa!r}")
+    # (kappa - 1) + sigma^2 is exact at kappa = 1 and does not cancel at
+    # small sigma.  c is exactly 0 where kappa equals the bound as rounded
+    # here; past it kappa - 1 > -sigma^2 exactly, so the sum is never < 0
+    return 0.0 if kappa == bound else (kappa - 1.0) + s * s
 
 
-def coupled_index_nu_range(geom: ConeGeometry, kappa: float, start: int,
-                           stop: int) -> np.ndarray:
-    """``coupled_index_nu(geom, kappa, m)`` for start <= m < stop, as an
-    array.
-
-    Each element equals the scalar call bit for bit: the same operations in
-    the same order, and numpy's + * / and sqrt round correctly, as Python's
-    do.
-    """
-    coupled_index_nu(geom, kappa, 0)        # the kappa >= 1 - sigma^2 check
+def effective_index_mu(geom: ConeGeometry, m: int) -> float:
+    """Free-cone Bessel order mu(m) = sqrt(4 m^2 + c) / (2 sigma), where
+    c = sigma^2 - 1; ImaginaryIndexError where 4 m^2 + c < 0 (the
+    unregularized s-wave on a sigma < 1 cone)."""
     s = geom.sigma
-    m = np.arange(start, stop, dtype=float)
-    return np.sqrt(4.0 * m * m + float(kappa) + s * s - 1.0) / (2.0 * s)
+    c = s * s - 1.0
+    disc = 4.0 * m * m + c
+    if disc < 0.0:
+        raise ImaginaryIndexError(
+            f"4m^2 + sigma^2 - 1 = {disc:g} < 0 for m={m}, sigma={s:g}: "
+            "the free-cone s-wave index is imaginary; a repulsive core "
+            "(kappa >= 1 - sigma^2) is required")
+    return _bessel_order(c, s, m)
+
+
+def coupled_index_nu(geom: ConeGeometry, kappa: float, m: int) -> float:
+    """Bessel order nu(m, sigma) = sqrt(4 m^2 + c) / (2 sigma) of the cone
+    with inverse-square coupling kappa, for an int m or an integer array.
+    c = (kappa - 1) + sigma^2 is exactly 0 on the bound kappa = 1 - sigma^2;
+    a kappa below it, where the order is not real for every m, raises
+    ValueError."""
+    return _bessel_order(_coupled_c(geom, kappa), geom.sigma, m)

@@ -65,7 +65,7 @@ import numpy as np
 from numpy.linalg import LinAlgError     # the class scipy.linalg raises too
 
 from .geometry import (ConeGeometry, ImaginaryIndexError, PhysicalConstants,
-                       UnderflowError, effective_potential)
+                       UnderflowError, _bessel_order, effective_potential)
 from .grids import RadialGrid
 from .spectrum import OscillatorModel, QuantumNumbers, energy, potential
 
@@ -493,9 +493,10 @@ def _collect_near(matrix: TridiagonalMatrix, k: int, d: np.ndarray,
 
 
 def podolsky_index(model: OscillatorModel, m: int) -> float:
-    """Bessel order sqrt(4 m^2 + kappa)/(2 sigma) of the curvature-free
-    (Podolsky) radial equation; an artifact-derived reference, coincides with
-    nu(m, sigma) only at sigma = 1.
+    """Bessel order sqrt(4 m^2 + c)/(2 sigma), with c = kappa, of the
+    curvature-free (Podolsky) radial equation: an artifact-derived reference.
+    nu(m, sigma), whose c = (kappa - 1) + sigma^2 is exactly 0 on the bound
+    kappa = 1 - sigma^2, coincides with it only at sigma = 1.
 
     Raises ImaginaryIndexError when 4 m^2 + kappa < 0 (possible for m = 0
     on a sigma > 1 cone with kappa < 0), where the Podolsky operator has no
@@ -506,9 +507,8 @@ def podolsky_index(model: OscillatorModel, m: int) -> float:
         raise ImaginaryIndexError(
             f"Podolsky index sqrt(4m^2 + kappa)/(2 sigma) is imaginary for "
             f"m={m}: 4m^2 + kappa = {disc:.6g} < 0, so the curvature-free "
-            "operator has no Podolsky ladder to compare against"
-        )
-    return math.sqrt(disc) / (2.0 * model.geom.sigma)
+            "operator has no Podolsky ladder to compare against")
+    return _bessel_order(model.kappa, model.geom.sigma, m)
 
 
 @dataclass(frozen=True)

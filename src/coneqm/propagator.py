@@ -31,7 +31,6 @@ import numpy as np
 
 # coupled_index_nu and ln_gamma are unused here; bench/tracing.py wraps them
 from .geometry import coupled_index_nu  # noqa: F401
-from .geometry import coupled_index_nu_range
 from .grids import RadialGrid, TanhSinhRule
 from .specfun import (bessel_i_scaled, bessel_i_scaled_array,
                       bessel_i_scaled_orders, exp_each)
@@ -345,8 +344,7 @@ def _rest_keeps_rounding(terms: list, rest: float):
 def _order_block(model: OscillatorModel, z: float, start: int, stop: int):
     """Iterators over nu(m) and e^{-z} I_nu(m)(z) for start <= m < stop; the
     Bessel values come from one ``specfun.bessel_i_scaled_orders`` call."""
-    nus = coupled_index_nu_range(model.geom, model.kappa, start,
-                                 stop).tolist()
+    nus = model.nu(np.arange(start, stop)).tolist()
     return iter(nus), iter(bessel_i_scaled_orders(nus, z))
 
 

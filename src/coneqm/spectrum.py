@@ -3,7 +3,8 @@
 The model potential is V(r) = (1/2) M omega^2 r^2 + kappa hbar^2/(8 sigma^2 M r^2)
 (long-range attraction, short-range repulsion).  Energies, wavefunctions, and
 normalization constants are closed-form; the Bessel order nu(m, sigma) carries
-all the cone dependence.
+all the cone dependence.  Its coefficient c = (kappa - 1) + sigma^2 is formed
+once per model, and is exactly 0 on the bound kappa = 1 - sigma^2.
 
 Inner products use the measure r dr dtheta, the unique measure under which the
 closed-form normalization constants give unit norm.
@@ -13,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (ConeGeometry, PhysicalConstants, UnderflowError,
-                       coupled_index_nu)
+                       _bessel_order, _coupled_c)
 from .specfun import ln_gamma
-# hyp1f1_terminating is unused here; bench/tracing.py wraps it
+# unused here; bench/tracing.py wraps them
+from .geometry import coupled_index_nu  # noqa: F401
 from .specfun import hyp1f1_terminating  # noqa: F401
 
 # largest state list enumerate_states builds
@@ -26,7 +28,8 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 @dataclass(frozen=True)
 class OscillatorModel:
-    """Cone + constants + oscillator frequency omega + inverse-square coupling kappa."""
+    """Cone, constants, frequency omega and inverse-square coupling kappa; nu's
+    c = (kappa - 1) + sigma^2, exactly 0 on the bound, is formed once."""
 
     geom: ConeGeometry
     consts: PhysicalConstants
@@ -38,8 +41,9 @@ class OscillatorModel:
         if not isinstance(w, (int, float)) or isinstance(w, bool) \
                 or not math.isfinite(w) or w <= 0.0:
             raise ValueError(f"omega must be a finite real > 0, got {w!r}")
-        # delegates the kappa >= 1 - sigma^2 check, which a NaN kappa passes
-        if not math.isfinite(coupled_index_nu(self.geom, self.kappa, 0)):
+        # nu's coefficient, not a field; a NaN kappa passes its check
+        object.__setattr__(self, "_c", _coupled_c(self.geom, self.kappa))
+        if not (math.isfinite(self._c) and math.isfinite(self.nu(0))):
             s, k = self.geom.sigma, self.kappa
             if not math.isfinite(k):
                 raise ValueError(f"kappa must be a finite real, got {k!r}")
@@ -52,8 +56,8 @@ class OscillatorModel:
         """True on the kappa = 1 - sigma^2 boundary, where nu(0, sigma) = 0."""
         return self.nu(0) == 0.0
 
-    def nu(self, m: int) -> float:
-        return coupled_index_nu(self.geom, self.kappa, m)
+    def nu(self, m):    # an int m, or an integer array of m
+        return _bessel_order(self._c, self.geom.sigma, m)
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,27 @@ def test_spectrum_kappa_bound_message_gives_both_values(capsys):
     assert "= -0.9599999999999997, got -0.96" in err
 
 
+def test_spectrum_ladder_at_small_sigma_starts_at_three_halves(capsys):
+    # sigma = 1e-8, kappa = 1: c = (kappa - 1) + sigma^2 = sigma^2, so
+    # nu(0) = 1/2; kappa + sigma^2 - 1 would round it to 0 and E to 1, 3
+    code, out, _ = run(capsys, "spectrum", "--e-max", "3.9",
+                       "--sigma", "1e-8")
+    assert code == 0
+    assert out.splitlines() == ["n,m,nu,energy", "0,0,0.5,1.5",
+                                "1,0,0.5,3.5"]
+
+
+@pytest.mark.parametrize("sigma, kappa", [("0.7", "0.51"), ("0.3", "0.91")])
+def test_spectrum_on_the_bound_keeps_nu_zero(capsys, sigma, kappa):
+    # kappa equals the rounded 1 - sigma^2, where (kappa - 1) + sigma^2
+    # alone would give -5.6e-17 and 2.8e-17
+    code, out, _ = run(capsys, "spectrum", "--e-max", "3.5",
+                       "--sigma", sigma, "--kappa", kappa)
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines()[1:]]
+    assert [r[2] for r in rows if r[1] == "0"] == ["0.0", "0.0"]
+
+
 def test_spectrum_malformed_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--e-max"])
@@ -200,6 +221,19 @@ def test_wavefunction_flat_gaussian(capsys):
         expect = math.sqrt(1.0 / math.pi) * math.exp(-0.5 * r * r)
         assert psi_rad == pytest.approx(expect, rel=1e-12)
         assert psi_abs == pytest.approx(abs(expect), rel=1e-12)
+
+
+def test_wavefunction_at_small_sigma_uses_nu_one_half(capsys):
+    # psi_00 = r^nu e^{-r^2/2} / sqrt(pi Gamma(nu + 1)) with nu = 1/2
+    code, out, _ = run(capsys, "wavefunction", "--n", "0", "--m", "0",
+                       "--sigma", "1e-8", "--points", "3")
+    assert code == 0
+    rows = [[float(v) for v in ln.split(",")] for ln in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == [0.0, 3.0, 6.0]
+    for r, _, psi in rows:
+        expect = float(mpmath.sqrt(r) * mpmath.exp(-r * r / 2)
+                       / mpmath.sqrt(mpmath.pi * mpmath.gamma(1.5)))
+        assert psi == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 def test_wavefunction_vanishes_at_origin_for_positive_nu(capsys):

@@ -1,7 +1,10 @@
 """Geometry layer: parameterizations, embedding, curvatures, index maps."""
 
 import math
+from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from coneqm.geometry import (ConeGeometry, ImaginaryIndexError,
@@ -12,6 +15,7 @@ from coneqm.geometry import (ConeGeometry, ImaginaryIndexError,
                              effective_index_mu, effective_potential, embed,
                              gaussian_curvature_strength, mean_curvature,
                              string_density)
+from coneqm.spectrum import OscillatorModel
 
 NAT = PhysicalConstants()
 
@@ -200,6 +204,62 @@ def test_nu_monotonicity_and_asymptote():
     m = 10000
     ratio = coupled_index_nu(g, 1.0, m) / (m / g.sigma)
     assert abs(ratio - 1.0) < 1e-6
+
+
+def test_nu_is_within_its_conditioning_of_the_exact_order():
+    # nu against sqrt(4m^2 + kappa + sigma^2 - 1)/(2 sigma) in exact
+    # rationals and 200-bit mpmath, for the doubles sigma and kappa.
+    # Rounding kappa - 1, sigma^2 and their sum costs at most u (|kappa - 1|
+    # + sigma^2) in the radicand R; with g = (|kappa - 1| + sigma^2)/R that
+    # bounds the error by 3 + g/2 ulps, so by 5 ulps away from the bound
+    # (g <= 4, measured at most 1.7).  The form kappa + sigma^2 - 1 loses
+    # sigma^2 against 1 at small sigma: nu(0) = 0 at sigma = 1e-8, kappa = 1.
+    # sigma log-uniform on [1e-8, 3]; kappa = 1, on the rounded bound
+    # 1 - s*s, or above it by U(0, 3); m in 0-5
+    rng = np.random.default_rng(31)
+    for _ in range(3000):
+        s = float(10.0 ** rng.uniform(-8.0, math.log10(3.0)))
+        kappa = (1.0, 1 - s * s,
+                 1 - s * s + float(rng.uniform(0.0, 3.0)))[rng.integers(3)]
+        m = int(rng.integers(0, 6))
+        rad = 4 * m * m + Fraction(kappa) - 1 + Fraction(s) ** 2
+        if m == 0 and kappa == 1 - s * s:
+            continue                    # exactly 0 by rule; tested below
+        with mpmath.workprec(200):
+            exact = mpmath.sqrt(mpmath.mpf(rad.numerator) / rad.denominator) \
+                / (2 * mpmath.mpf(s))
+        got = OscillatorModel(ConeGeometry(s), NAT, kappa=kappa).nu(m)
+        ulps = abs(mpmath.mpf(got) - exact) / math.ulp(float(exact))
+        g = (abs(kappa - 1.0) + s * s) / float(rad)
+        assert ulps <= 3.0 + g / 2.0, (s, kappa, m, float(ulps), g)
+        assert got == coupled_index_nu(ConeGeometry(s), kappa, m)
+
+
+def test_nu_is_exactly_zero_on_the_rounded_bound():
+    # kappa = 1 - s*s, the double the check compares against, gives c = 0:
+    # nu(0) = 0 and marginal; one ulp above, nu(0) is real and not marginal
+    rng = np.random.default_rng(32)
+    for s in rng.uniform(0.05, 3.0, 10_000).tolist():
+        kappa = 1 - s * s
+        model = OscillatorModel(ConeGeometry(s), NAT, kappa=kappa)
+        assert model.nu(0) == 0.0 and model.marginal, (s, kappa)
+        assert coupled_index_nu(ConeGeometry(s), kappa, 0) == 0.0
+        above = OscillatorModel(ConeGeometry(s), NAT,
+                                kappa=math.nextafter(kappa, math.inf))
+        assert math.isfinite(above.nu(0)) and above.nu(0) >= 0.0
+
+
+@pytest.mark.parametrize("sigma, kappa", [
+    (0.5, 1.0), (0.7, 1 - 0.7 * 0.7), (0.3, 0.91), (1e-8, 1.0), (2.9, -7.4),
+    (1.0, 0.0), (0.999, 1.0)])
+def test_nu_scalar_and_array_agree_bit_for_bit(sigma, kappa):
+    model = OscillatorModel(ConeGeometry(sigma), NAT, kappa=kappa)
+    ms = np.arange(0, 401)
+    block = model.nu(ms)
+    assert block.tolist() == [model.nu(m) for m in range(401)]
+    assert block.tolist() == coupled_index_nu(ConeGeometry(sigma), kappa,
+                                              ms).tolist()
+    assert all(type(model.nu(m)) is float for m in (0, 1, 400))
 
 
 def test_flat_special_values():

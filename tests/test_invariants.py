@@ -25,6 +25,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -38,11 +39,13 @@ CLOSED_FORM = sorted(
                                                   "__init__"))
 TRANSFER_ROOT = "transfer_matrix_kernel"
 BRACKET_ROOT = "_report_levels"
-# marginal is OscillatorModel's test of nu(0) == 0
+# marginal is OscillatorModel's test of nu(0) == 0; _bessel_order is the
+# order's one expression, _coupled_c and the model's _c its coefficient
 ORDER_NAMES = {"nu", "coupled_index_nu", "podolsky_index", "_quarter_plus_c",
-               "_regular_exponent", "marginal"}
+               "_regular_exponent", "marginal", "_bessel_order", "_coupled_c",
+               "_c"}
 CLOSED_FORM_NAMES = {"energy", "nu", "coupled_index_nu", "podolsky_index",
-                     "marginal"}
+                     "marginal", "_bessel_order", "_coupled_c", "_c"}
 
 
 def parse(module):
@@ -100,21 +103,36 @@ def functions(module, trees):
             if isinstance(node, ast.FunctionDef)}
 
 
+# each parsed tree's relative imports, built on its first lookup
+_IMPORTS = weakref.WeakKeyDictionary()
+
+
+def relative_imports(tree):
+    """{bound name: (source module or None, imported name)} of tree's
+    relative imports, the first binding of each name in ast.walk's order."""
+    if tree not in _IMPORTS:
+        found = _IMPORTS[tree] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    found.setdefault(alias.asname or alias.name,
+                                     (node.module, alias.name))
+    return _IMPORTS[tree]
+
+
 def resolve(module, name, trees):
     """What name means at the top of module: (module, function) for a
     module-level function, followed through the package's relative imports;
     a module name for a package module; None for anything else."""
     if name in functions(module, trees):
         return module, name
-    for node in ast.walk(trees[module]):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                if (alias.asname or alias.name) != name:
-                    continue
-                if node.module:
-                    return resolve(node.module, alias.name, trees)
-                return alias.name           # from . import <module>
-    return None
+    imports = relative_imports(trees[module])
+    if name not in imports:
+        return None
+    source, imported = imports[name]
+    if source:
+        return resolve(source, imported, trees)
+    return imported                         # from . import <module>
 
 
 def reached(root, trees):
