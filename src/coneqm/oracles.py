@@ -43,12 +43,12 @@ coarser one of half the nodes), the coarse and the coarser are solved from
 scratch by dstebz, and their eigenvalues are bit-identical to
 scipy.linalg.eigh_tridiagonal with index selection and
 lapack_driver="stebz", which makes the same LAPACK call.  The refined grid
-is bisected by dstebz one value range at a time, in brackets around the
-coarse levels.  One Sturm count certifies that bracket j holds level j; a
-grid it refuses is solved from scratch.  A report for several orders stages
-the solves of all of them in one pass on the pool.  The transfer matrix's
-Bessel table is filled in bands of rows, and each of its products in blocks
-of rows, on the same pool.
+is bisected by dstebz one value range at a time, in brackets around the h^2
+prediction of its levels from the two others.  One Sturm count certifies
+that bracket j holds level j; a grid it refuses is solved from scratch.  A
+report for several orders stages the solves of all of them in one pass on
+the pool.  The transfer matrix's Bessel table is filled in bands of rows,
+and each of its products in blocks of rows, on the same pool.
 """
 
 import ctypes
@@ -312,11 +312,12 @@ def _dstebz(*args):
     _capsule_dstebz(*args[:-2])
 
 
-def _stebz(d: np.ndarray, e: np.ndarray, range_: bytes, vl: float,
-           vu: float, iu: int, abstol: float):
-    """(w, info) from LAPACK dstebz on the tridiagonal matrix (d, e), which
-    must be contiguous float64: w holds, ascending, the eigenvalues in
-    (vl, vu] for range_ b"V" or the iu smallest for b"I"."""
+def _stebz(d: np.ndarray, e: np.ndarray, range_: bytes, abstol: float):
+    """A function (vl, vu, iu) -> (w, info) that calls LAPACK dstebz on the
+    tridiagonal matrix (d, e), which must be contiguous float64: w holds,
+    ascending, the eigenvalues in (vl, vu] for range_ b"V" or the iu
+    smallest for b"I".  The work arrays and fixed arguments are built here,
+    once; each call overwrites the w of the last, so one thread calls it."""
     if _NUMPY_DSTEBZ is not None:
         integer, integers, int_p = ctypes.c_int64, np.int64, _INT64_P
     else:
@@ -327,11 +328,11 @@ def _stebz(d: np.ndarray, e: np.ndarray, range_: bytes, vl: float,
     isplit = np.empty(n, dtype=integers)
     work = np.empty(4 * n)
     iwork = np.empty(3 * n, dtype=integers)
+    vl, vu, iu = ctypes.c_double(), ctypes.c_double(), integer()
     found, nsplit, info = integer(), integer(), integer()
-    _dstebz(range_, b"E", ctypes.byref(integer(n)),
-            ctypes.byref(ctypes.c_double(vl)),
-            ctypes.byref(ctypes.c_double(vu)),
-            ctypes.byref(integer(1)), ctypes.byref(integer(iu)),
+    # byref and data_as keep their objects and arrays alive with args
+    args = (range_, b"E", ctypes.byref(integer(n)), ctypes.byref(vl),
+            ctypes.byref(vu), ctypes.byref(integer(1)), ctypes.byref(iu),
             ctypes.byref(ctypes.c_double(abstol)),
             d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
             ctypes.byref(found), ctypes.byref(nsplit),
@@ -339,7 +340,11 @@ def _stebz(d: np.ndarray, e: np.ndarray, range_: bytes, vl: float,
             isplit.ctypes.data_as(int_p), work.ctypes.data_as(_DOUBLE_P),
             iwork.ctypes.data_as(int_p), ctypes.byref(info),
             1, 1)                   # the lengths of range_ and b"E"
-    return w[:found.value], info.value
+    def solve(low: float, high: float, top: int):
+        vl.value, vu.value, iu.value = low, high, top
+        _dstebz(*args)
+        return w[:found.value], info.value
+    return solve
 
 
 def _real_vector(values, length: int, name: str) -> np.ndarray:
@@ -378,7 +383,7 @@ def eigen_lowest(matrix: TridiagonalMatrix, k: int) -> np.ndarray:
         )
     d = _real_vector(matrix.diagonal, n, "diagonal")
     e = _real_vector(matrix.offdiagonal, n - 1, "offdiagonal")
-    levels, info = _stebz(d, e, b"I", 0.0, 0.0, k, 0.0)
+    levels, info = _stebz(d, e, b"I", 0.0)(0.0, 0.0, k)
     if info != 0 or len(levels) != k:
         raise LinAlgError(
             f"dstebz found {len(levels)} of the {k} lowest eigenvalues of a "
@@ -441,13 +446,14 @@ def _solve_brackets(d: np.ndarray, e: np.ndarray, centres: np.ndarray,
     bracket (low, high] = centres[j] -+ half_widths[j], one RANGE='V' call
     per bracket, which is widened _WIDEN-fold while it holds other than one
     level or dstebz reports a failure; None after _WIDENINGS widenings."""
+    solve = _stebz(d, e, b"V", 0.0)
     solved = []
     for centre, half in zip(centres.tolist(), half_widths.tolist()):
         for _ in range(_WIDENINGS + 1):
             low, high = centre - half, centre + half
             if not low < high:
                 return None
-            found, info = _stebz(d, e, b"V", low, high, 0, 0.0)
+            found, info = solve(low, high, 0)
             if len(found) == 1 and info == 0:
                 break
             half *= _WIDEN
@@ -485,8 +491,8 @@ def _collect_near(matrix: TridiagonalMatrix, k: int, d: np.ndarray,
         if np.all(highs[:-1] <= lows[1:]):
             # ABSTOL no less than the interval's width: a count, no bisection
             top = float(highs[-1])
-            below, info = _stebz(d, e, b"V", _BELOW_ALL, top, 0,
-                                 top - _BELOW_ALL)
+            below, info = _stebz(d, e, b"V", top - _BELOW_ALL)(_BELOW_ALL,
+                                                              top, 0)
             if info == 0 and len(below) == k:
                 return levels
     return _SOLVES.submit(eigen_lowest, matrix, k).result()
@@ -542,16 +548,19 @@ def _richardson(e_coarse: np.ndarray, e_fine: np.ndarray, ratio: float):
         np.abs(e_fine - e_coarse) / (q2 - 1.0)
 
 
-# Half-widths of the refined grid's brackets, as shares of the distance
-# from each coarse level to its nearest neighbour (the level's own magnitude
-# when it is alone).  Measured with eigen_lowest on both grids: on the ten
-# grids of a 4000-point, k = 20 report at sigma = 0.5, kappa = 1 (m 0-4,
-# both modes) the refined levels lie within 2^-11.5 of that distance from
-# the coarse ones.  On 480 2001-point, k = 4 grids at sigma in [0.3, 2] and
-# kappa 1 or 2 they reach 2^-9.1, and 19 of those grids need a widening.  A
-# widening costs one more dstebz call and four more bisection steps on the
-# bracket it widens; a wider start would cost every bracket those steps.
+# The cap on the refined grid's first half-widths, as a share of each coarse
+# level's distance to its nearest neighbour (its own magnitude when alone):
+# the refined levels lie within 2^-11.5 of it from the coarse ones on the ten
+# grids of a 4000-point, k = 20 report at sigma = 0.5, kappa = 1 (m 0-4, both
+# modes), and within 2^-9.1 on 480 2001-point, k = 4 grids (sigma 0.3-2).
 _FINE_SHARE = 2.0 ** -11
+# The first half-widths as a share of |step|, the coarse level's h^2 error.
+# The refined level misses its prediction by a median 4.2e-5 |step| (90th
+# percentile 1.1e-3) on the ten grids above, and by 1.6e-3 (0.31) on 1,872
+# levels of 2001-point, k = 4 grids (sigma in [0.45, 2], kappa 1 or 2, m
+# 0-2, both modes), where small apex exponents converge slower than h^2.  A
+# widening costs about nine steps; 2^-4 to 2^-10 cost that family alike.
+_STEP_SHARE = 2.0 ** -10
 
 
 def _level_gaps(levels: np.ndarray) -> np.ndarray:
@@ -562,6 +571,18 @@ def _level_gaps(levels: np.ndarray) -> np.ndarray:
                       np.concatenate((step, step[-1:])))
 
 
+def _fine_brackets(coarse: np.ndarray, coarser: np.ndarray, ratio: float):
+    """(centres, half_widths) of the refined grid's brackets: the h^2
+    prediction coarse - 0.75 step, step = (coarser - coarse)/(ratio^2 - 1)
+    with ratio the coarser/coarse spacing, -+ _STEP_SHARE |step|, at most
+    the _FINE_SHARE cap, at least 1e-12 |coarse| and what widens to the cap."""
+    step = (coarser - coarse) / (ratio * ratio - 1.0)
+    cap = _FINE_SHARE * _level_gaps(coarse)
+    floor = np.maximum(cap / _WIDEN ** _WIDENINGS, 1e-12 * np.abs(coarse))
+    return coarse - 0.75 * step, np.minimum(
+        cap, np.maximum(_STEP_SHARE * np.abs(step), floor))
+
+
 def _report_levels(matrices, k: int):
     """k lowest levels of every matrix in matrices, which holds a report's
     coarse, refined and coarser matrices, in that order, for each report in
@@ -569,25 +590,23 @@ def _report_levels(matrices, k: int):
 
     The solves are staged on the pool, and only the calling thread waits on
     it.  Every coarse and coarser grid is solved from scratch by
-    eigen_lowest (looked up in the module at call time), and each refined
-    grid is bracketed around its coarse levels as soon as they arrive.  The
-    brackets come from these solves alone.  An error in any solve is raised
-    here as it is.
+    eigen_lowest (looked up in the module at call time).  Once both of a
+    report's are in, its refined grid is bracketed around their h^2
+    prediction (_fine_brackets), the spacing ratio read from the row counts.
+    The brackets come from these solves alone.  An error in any solve is
+    raised here as it is.
     """
     reports = [matrices[i:i + 3] for i in range(0, len(matrices), 3)]
-    coarse_jobs = [_SOLVES.submit(eigen_lowest, mats[0], k)
-                   for mats in reports]
-    coarser_jobs = [_SOLVES.submit(eigen_lowest, mats[2], k)
-                    for mats in reports]
+    jobs = [[_SOLVES.submit(eigen_lowest, mats[i], k) for i in (0, 2)]
+            for mats in reports]
     staged = []
-    for mats, job in zip(reports, coarse_jobs):
-        coarse = job.result()
-        staged.append((coarse, _submit_near(
-            mats[1], coarse, _FINE_SHARE * _level_gaps(coarse))))
-    levels = []
-    for (coarse, fine_job), coarser_job in zip(staged, coarser_jobs):
-        levels += [coarse, _collect_near(*fine_job), coarser_job.result()]
-    return levels
+    for mats, (coarse_job, coarser_job) in zip(reports, jobs):
+        coarse, coarser = coarse_job.result(), coarser_job.result()
+        ratio = (mats[0].dimension + 1) / (mats[2].dimension + 1)
+        staged.append((coarse, coarser, _submit_near(
+            mats[1], *_fine_brackets(coarse, coarser, ratio))))
+    return [levels for coarse, coarser, fine_job in staged
+            for levels in (coarse, _collect_near(*fine_job), coarser)]
 
 
 def spectrum_match_report(model: OscillatorModel, m: int | Sequence[int],
@@ -622,11 +641,11 @@ def spectrum_match_report(model: OscillatorModel, m: int | Sequence[int],
     leave it waiting.  The coarse and coarser matrices are solved from
     scratch by eigen_lowest, and their levels are bit-identical to
     eigh_tridiagonal's.  The refined matrix is bisected by dstebz only
-    inside brackets around the coarse levels, and one Sturm count certifies
-    that bracket j holds level j; each level is within dstebz's absolute
-    tolerance of eigen_lowest's value.  Every report is the same, bit for
-    bit, whether its order comes alone or in a sequence.  An error in any
-    solve is raised here as it is.
+    inside brackets around the h^2 prediction of its levels from those two,
+    and one Sturm count certifies that bracket j holds level j; each level
+    is within dstebz's absolute tolerance of eigen_lowest's value.  Every
+    report is the same, bit for bit, whether its order comes alone or in a
+    sequence.  An error in any solve is raised here as it is.
     """
     if grid.points < 31:
         raise ValueError(

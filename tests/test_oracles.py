@@ -548,6 +548,132 @@ def test_bracketed_solve_of_a_matrix_dstebz_splits_falls_back(monkeypatch):
     assert [call[0] for call in calls] == [b"V"] * 6
 
 
+def _first_brackets(monkeypatch):
+    # {rows: (centres, half_widths)} of every refined grid's first brackets,
+    # its parts joined in order
+    real = oracles._solve_brackets
+    parts = {}
+
+    def spy(d, e, centres, half_widths):
+        parts.setdefault(len(d), []).append((centres, half_widths))
+        return real(d, e, centres, half_widths)
+
+    monkeypatch.setattr(oracles, "_solve_brackets", spy)
+    return parts, lambda rows: np.concatenate(
+        sorted(parts[rows], key=lambda part: part[0][0]), axis=1)
+
+
+def _prediction(mats, k):
+    # the h^2 prediction of the refined levels, its step and the floor of
+    # the first half-widths, from eigen_lowest on the coarse and coarser grid
+    coarse, coarser = eigen_lowest(mats[0], k), eigen_lowest(mats[2], k)
+    ratio = (mats[0].dimension + 1) / (mats[2].dimension + 1)
+    step = (coarser - coarse) / (ratio * ratio - 1.0)
+    cap = oracles._FINE_SHARE * oracles._level_gaps(coarse)
+    floor = np.maximum(cap / oracles._WIDEN ** oracles._WIDENINGS,
+                       1e-12 * np.abs(coarse))
+    return coarse - 0.75 * step, step, floor, cap
+
+
+def test_refined_brackets_start_at_the_h2_prediction(monkeypatch):
+    # each first bracket is centred on coarse - 0.75 step and no wider than
+    # _STEP_SHARE |step| plus the floor, nor than the cap on the level gap
+    rng = np.random.default_rng(20261021)
+    parts, joined = _first_brackets(monkeypatch)
+    checked = 0
+    while checked < 8:
+        sigma = float(rng.uniform(0.3, 2.0))
+        kappa = (1.0 - sigma ** 2, 1.0, 2.0)[rng.integers(3)]
+        mode = list(CurvatureTermMode)[rng.integers(2)]
+        points, k = int(rng.integers(300, 2001)), int(rng.integers(1, 13))
+        try:
+            mats = _report_matrices(model(sigma, kappa), int(rng.integers(4)),
+                                    mode, RadialGrid(1e-3, 12.0, points))
+        except ImaginaryIndexError:
+            continue                 # Podolsky m = 0 with kappa < 0
+        parts.clear()
+        oracles._report_levels(mats, k)
+        centres, half = joined(mats[1].dimension)
+        predicted, step, floor, cap = _prediction(mats, k)
+        label = (sigma, kappa, mode, points, k)
+        assert centres.tobytes() == predicted.tobytes(), label
+        assert np.all(half <= oracles._STEP_SHARE * np.abs(step) + floor)
+        assert np.all((half <= cap) & (half > 0.0)), label
+        checked += 1
+
+
+def test_oracle_refine_grids_certify_without_a_fallback(monkeypatch):
+    # the ten grids of a 4000-point, k = 20 report: coarse and coarser bit
+    # for bit, refined within dstebz's tolerance, one count each, and no
+    # grid solved from scratch a third time
+    grid, k = RadialGrid(1e-3, 12.0, 4000), 20
+    calls = _dstebz_calls(monkeypatch)
+    for mode in CurvatureTermMode:
+        for m in range(5):
+            mats = _report_matrices(model(0.5, 1.0), m, mode, grid)
+            calls.clear()
+            got = oracles._report_levels(mats, k)
+            ranges = [call[0] for call in calls]
+            assert ranges.count(b"I") == 2, (mode, m)
+            assert sum(1 for call in calls if _is_count(call)) == 1
+            assert got[0].tobytes() == eigen_lowest(mats[0], k).tobytes()
+            assert got[2].tobytes() == eigen_lowest(mats[2], k).tobytes()
+            ref = eigen_lowest(mats[1], k)
+            assert np.all(np.abs(got[1] - ref) <= _atoli(mats[1])), (mode, m)
+
+
+def test_a_prediction_one_level_off_is_refused_by_the_certificate(
+        monkeypatch):
+    # every centre moved up by its distance to the next refined level: each
+    # bracket holds one level, the next one, and only the count refuses
+    mats = _report_matrices(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
+                            RadialGrid(1e-3, 12.0, 1200))
+    k = 6
+    distance = np.diff(eigen_lowest(mats[1], k + 1))
+    real = oracles._fine_brackets
+
+    def one_level_up(coarse, coarser, ratio):
+        centres, half_widths = real(coarse, coarser, ratio)
+        return centres + distance, half_widths
+
+    monkeypatch.setattr(oracles, "_fine_brackets", one_level_up)
+    calls = _dstebz_calls(monkeypatch)
+    got = oracles._report_levels(mats, k)
+    # the brackets passed, the count refused them, the grid was solved again
+    assert sum(1 for call in calls if _is_count(call)) == 1
+    assert [call[0] for call in calls].count(b"I") == 3
+    assert got[1].tobytes() == eigen_lowest(mats[1], k).tobytes()
+
+
+def test_a_prediction_with_no_step_widens_to_the_cap_and_certifies(
+        monkeypatch):
+    # coarser levels equal to the coarse ones give step 0: the brackets
+    # start at the floor, around the coarse levels, and widen to the cap
+    mats = _report_matrices(model(), 1, CurvatureTermMode.JENSEN_KOPPE,
+                            RadialGrid(1e-3, 12.0, 4000))
+    k = 20
+    real = oracles.eigen_lowest
+    coarse = real(mats[0], k)
+
+    def no_step(matrix, k):
+        return real(mats[0] if matrix is mats[2] else matrix, k)
+
+    monkeypatch.setattr(oracles, "eigen_lowest", no_step)
+    parts, joined = _first_brackets(monkeypatch)
+    calls = _dstebz_calls(monkeypatch)
+    got = oracles._report_levels(mats, k)
+    centres, half = joined(mats[1].dimension)
+    cap = oracles._FINE_SHARE * oracles._level_gaps(coarse)
+    assert centres.tobytes() == coarse.tobytes()
+    assert np.all(half == cap / oracles._WIDEN ** oracles._WIDENINGS)
+    assert np.all(centres - half < centres + half)
+    ranges = [call[0] for call in calls]
+    assert ranges.count(b"I") == 2        # no fallback
+    assert ranges.count(b"V") > k + 1     # some brackets were widened
+    assert sum(1 for call in calls if _is_count(call)) == 1
+    assert np.all(np.abs(got[1] - real(mats[1], k)) <= _atoli(mats[1]))
+
+
 def test_eigen_flat_oscillator_m1():
     # flat kappa=0, m=1: u ~ r^{3/2} at the origin, so the r_min=1e-3 wall
     # is harmless and the plain grid already reproduces E = 2, 4, 6
